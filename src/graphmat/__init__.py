@@ -45,7 +45,6 @@ from .matrix import (
     build,
     empty_matrix,
     extract_tuples,
-    matrices_close,
     transpose,
 )
 

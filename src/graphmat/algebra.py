@@ -36,7 +36,9 @@ class Domain:
     """A scalar value set: storage dtype, membership test, and text codec.
 
     Membership is checked when scalars enter the system (matrix build,
-    scalar entry points), not on every operation.
+    scalar entry points) and again on every folded result (build's
+    duplicates, ewise_add, ewise_mult, mxm). Fixed-width arithmetic
+    that wraps before the fold (int64 products) is not caught there.
     """
 
     name: str
@@ -56,9 +58,9 @@ class Domain:
     def check_array(self, values: np.ndarray):
         """Audit a value array; raises DomainError on any violation.
 
-        Used on bulk entry and after bulk operations where per-scalar
-        checks would be too slow (e.g. natural overflow after a
-        reduction).
+        Used on bulk entry and at the shared fold of every kernel,
+        where per-scalar checks would be too slow (e.g. natural overflow
+        after a reduction).
         """
         if len(values) == 0:
             return

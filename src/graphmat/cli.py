@@ -45,9 +45,15 @@ def _emit(a, args, label=""):
         print(f"wrote {args.output}")
 
 
+def _index(token, one_based):
+    try:
+        return int(token) - (1 if one_based else 0)
+    except ValueError:
+        raise GraphMatError(f"bad vertex index {token.strip()!r}") from None
+
+
 def _index_list(text, one_based):
-    shift = 1 if one_based else 0
-    return [int(t) - shift for t in text.split(",") if t.strip()]
+    return [_index(t, one_based) for t in text.split(",") if t.strip()]
 
 
 def cmd_build(args):
@@ -93,7 +99,7 @@ def cmd_bfs(args):
 def cmd_sssp(args):
     sr = semiring_by_name("min-plus")
     a = _load_matrix(args.input, args, sr)
-    source = int(args.source) - (1 if args.one_based else 0)
+    source = _index(args.source, args.one_based)
     dist = graph.sssp_minplus(a, source)
     shift = 1 if args.one_based else 0
     print("vertex\tdistance")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .matrix import SparseMatrix, coalesce
+from .matrix import SparseMatrix, _csr, _fold, _order, coalesce
 
 # soft cap on expansion size per multiply chunk; keeps peak memory of
 # large products bounded without affecting results
@@ -34,13 +34,6 @@ def _ranges(starts, counts):
             + np.repeat(starts, counts))
 
 
-def _csr_from_sorted(nrows, ncols, rows, cols, vals, domain):
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    if len(rows):
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-    return SparseMatrix(nrows, ncols, indptr, cols, vals, domain)
-
-
 def _check_domains(sr_or_domain, *mats):
     name = (sr_or_domain.domain.name if isinstance(sr_or_domain, Semiring)
             else sr_or_domain.name)
@@ -52,10 +45,19 @@ def _check_domains(sr_or_domain, *mats):
 
 
 def _check_index_vector(idx, bound, what):
-    idx = np.asarray(idx, dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= bound):
-        raise IndexBoundsError(f"{what} index outside [0, {bound})")
-    return idx
+    raw = np.asarray(idx)
+    if raw.ndim != 1:
+        raise IndexBoundsError(
+            f"{what} indices must form a 1-D vector, got shape {raw.shape}")
+    if len(raw):
+        integral = raw.dtype.kind in "iu" or (
+            raw.dtype.kind == "f"
+            and np.all(np.isfinite(raw) & (raw == np.trunc(raw))))
+        if not integral:
+            raise IndexBoundsError(f"{what} indices must be integers")
+        if raw.min() < 0 or raw.max() >= bound:
+            raise IndexBoundsError(f"{what} index outside [0, {bound})")
+    return raw.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -73,63 +75,35 @@ def mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 
 def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    add_u, mul_u = sr.add.ufunc, sr.mul.ufunc
-    domain = sr.domain
     b_rowlen = np.diff(b.indptr)
     a_rows = a.row_arrays()
     per_entry = b_rowlen[a.indices]
 
     # split output rows into chunks whose expanded product count stays
-    # below the cap; groups for a given (i, j) never straddle chunks
-    # because chunks end on row boundaries
-    cum = np.concatenate(([0], np.cumsum(per_entry)))
-    row_products = cum[a.indptr[1:]] - cum[a.indptr[:-1]]
-    out_rows, out_cols, out_vals = [], [], []
+    # below the cap (a single row above it is a chunk of its own);
+    # groups for a given (i, j) never straddle chunks because chunks end
+    # on row boundaries
+    row_cum = np.concatenate(([0], np.cumsum(per_entry)))[a.indptr]
+    empty = np.empty(0, dtype=np.int64)
+    parts = [(empty, empty, np.empty(0, dtype=sr.domain.dtype))]
     r0 = 0
     while r0 < a.nrows:
-        budget = 0
-        r1 = r0
-        while r1 < a.nrows and (budget == 0
-                                or budget + row_products[r1] <= _MXM_CHUNK_PRODUCTS):
-            budget += row_products[r1]
-            r1 += 1
+        r1 = int(np.searchsorted(row_cum, row_cum[r0] + _MXM_CHUNK_PRODUCTS,
+                                 side="right")) - 1
+        r1 = max(r1, r0 + 1)
         lo, hi = a.indptr[r0], a.indptr[r1]
         counts = per_entry[lo:hi]
         pos = _ranges(b.indptr[a.indices[lo:hi]], counts)
         i_exp = np.repeat(a_rows[lo:hi], counts)
-        prod = mul_u(np.repeat(a.values[lo:hi], counts), b.values[pos])
         j_exp = b.indices[pos]
-        if len(prod):
-            # stable sort keeps k ascending within each (i, j) group;
-            # a fused integer key sorts much faster than lexsort
-            if a.nrows * b.ncols < 2**62:
-                key = i_exp * b.ncols + j_exp
-                order = np.argsort(key, kind="stable")
-            else:
-                order = np.lexsort((j_exp, i_exp))
-            i_exp, j_exp, prod = i_exp[order], j_exp[order], prod[order]
-            boundary = np.empty(len(prod), dtype=bool)
-            boundary[0] = True
-            boundary[1:] = (i_exp[1:] != i_exp[:-1]) | (j_exp[1:] != j_exp[:-1])
-            starts = np.flatnonzero(boundary)
-            vals = add_u.reduceat(prod, starts)
-            if vals.dtype != domain.dtype:
-                vals = vals.astype(domain.dtype)
-            keep = vals != sr.zero
-            out_rows.append(i_exp[starts][keep])
-            out_cols.append(j_exp[starts][keep])
-            out_vals.append(vals[keep])
+        prod = sr.mul.ufunc(np.repeat(a.values[lo:hi], counts),
+                            b.values[pos])
+        order = _order(i_exp, j_exp, a.nrows, b.ncols)
+        parts.append(_fold(i_exp[order], j_exp[order], prod[order],
+                           sr.add, sr.zero, sr.domain))
         r0 = r1
-
-    if out_rows:
-        rows = np.concatenate(out_rows)
-        cols = np.concatenate(out_cols)
-        vals = np.concatenate(out_vals)
-    else:
-        rows = cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0, dtype=domain.dtype)
-    domain.check_array(vals)
-    return _csr_from_sorted(a.nrows, b.ncols, rows, cols, vals, domain)
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return _csr(a.nrows, b.ncols, rows, cols, vals, sr.domain)
 
 
 def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
@@ -189,21 +163,16 @@ def _ewise_mult(op, zero, a, b):
     rows = np.concatenate([a.row_arrays(), b.row_arrays()])
     cols = np.concatenate([a.indices, b.indices])
     vals = np.concatenate([a.values, b.values])
-    order = np.lexsort((cols, rows))  # stable: a's entry precedes b's
+    order = _order(rows, cols, a.nrows, a.ncols)  # a's entry precedes b's
     rows, cols, vals = rows[order], cols[order], vals[order]
-    if len(rows) < 2:
-        pair = np.empty(0, dtype=np.int64)
-    else:
-        pair = np.flatnonzero((rows[1:] == rows[:-1])
-                              & (cols[1:] == cols[:-1]))
-    out_vals = op.ufunc(vals[pair], vals[pair + 1])
-    out_vals = np.asarray(out_vals)
-    if out_vals.dtype != a.domain.dtype:
-        out_vals = out_vals.astype(a.domain.dtype)
-    keep = out_vals != zero
-    a.domain.check_array(out_vals[keep])
-    return _csr_from_sorted(a.nrows, a.ncols, rows[pair][keep],
-                            cols[pair][keep], out_vals[keep], a.domain)
+    # keep only keys stored in both: each is a run of two, folded as op(a, b)
+    same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    both = np.zeros(len(rows), dtype=bool)
+    both[1:] = same
+    both[:-1] |= same
+    rows, cols, vals = _fold(rows[both], cols[both], vals[both], op, zero,
+                             a.domain)
+    return _csr(a.nrows, a.ncols, rows, cols, vals, a.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +206,9 @@ def _extract(a, i, j):
     q_exp = j_order[_ranges(left, fan)]
     rows = np.repeat(p_exp, fan)
     vals = np.repeat(vals_exp, fan)
-    order = np.lexsort((q_exp, rows))
-    return _csr_from_sorted(len(i), len(j), rows[order], q_exp[order],
-                            vals[order], a.domain)
+    order = _order(rows, q_exp, len(i), len(j))
+    return _csr(len(i), len(j), rows[order], q_exp[order], vals[order],
+                a.domain)
 
 
 def selection_matrix(sr: Semiring, idx, n_source) -> SparseMatrix:
@@ -289,6 +258,6 @@ def _assign(c, i, j, a):
     rows = np.concatenate([c_rows[keep], i[a.row_arrays()]])
     cols = np.concatenate([c.indices[keep], j[a.indices]])
     vals = np.concatenate([c.values[keep], a.values])
-    order = np.lexsort((cols, rows))
-    return _csr_from_sorted(c.nrows, c.ncols, rows[order], cols[order],
-                            vals[order], c.domain)
+    order = _order(rows, cols, c.nrows, c.ncols)
+    return _csr(c.nrows, c.ncols, rows[order], cols[order], vals[order],
+                c.domain)

@@ -30,14 +30,6 @@ class TripleList:
     cols: np.ndarray
     vals: np.ndarray
 
-    @classmethod
-    def from_lists(cls, rows, cols, vals, dtype=None):
-        return cls(
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(list(vals), dtype=dtype),
-        )
-
     def __len__(self):
         return len(self.rows)
 
@@ -127,6 +119,43 @@ def _check_dims(nrows, ncols):
                              actual=f"{nrows}x{ncols}")
 
 
+def _order(rows, cols, nrows, ncols):
+    """Stable row-major order of (rows, cols): equal keys keep input order."""
+    if nrows * ncols < 2**62:
+        return np.argsort(rows * ncols + cols, kind="stable")
+    return np.lexsort((cols, rows))
+
+
+def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
+          strict_dup=False):
+    """Fold each run of equal (row, col) in ordered triples left to right,
+    in input order, with `dup`; drop `zero` and check what is left."""
+    boundary = np.empty(len(rows), dtype=bool)
+    boundary[:1] = True
+    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if strict_dup and not boundary.all():
+        k = int(np.flatnonzero(~boundary)[0])
+        raise GraphMatError(
+            f"duplicate entry at ({rows[k]}, {cols[k]}) in strict mode")
+    starts = np.flatnonzero(boundary)
+    if len(starts):
+        vals = dup.ufunc.reduceat(vals, starts)
+    if vals.dtype != domain.dtype:
+        vals = vals.astype(domain.dtype)
+    keep = vals != zero
+    vals = vals[keep]
+    domain.check_array(vals)
+    return rows[starts][keep], cols[starts][keep], vals
+
+
+def _csr(nrows, ncols, rows, cols, vals, domain: Domain) -> SparseMatrix:
+    """CSR from row-major ordered triples with no repeated (row, col)."""
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    if len(rows):
+        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    return SparseMatrix(nrows, ncols, indptr, cols, vals, domain)
+
+
 def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
              domain: Domain, strict_dup=False) -> SparseMatrix:
     """Sort COO triples row-major, fold duplicates left-to-right with
@@ -134,36 +163,17 @@ def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
 
     The stable sort preserves input order within a duplicate group, so
     the fold order is the input order even for non-commutative ops.
+    Folded values are checked against `domain`.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals)
     if vals.dtype != domain.dtype:
         vals = vals.astype(domain.dtype)
-    if len(rows):
-        if nrows * ncols < 2**62:
-            order = np.argsort(rows * ncols + cols, kind="stable")
-        else:
-            order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        boundary = np.empty(len(rows), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        if strict_dup and not boundary.all():
-            k = int(np.flatnonzero(~boundary)[0])
-            raise GraphMatError(
-                f"duplicate entry at ({rows[k]}, {cols[k]}) in strict mode")
-        starts = np.flatnonzero(boundary)
-        rows, cols = rows[starts], cols[starts]
-        vals = dup.ufunc.reduceat(vals, starts)
-        if vals.dtype != domain.dtype:
-            vals = vals.astype(domain.dtype)
-        keep = vals != zero
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    if len(rows):
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-    return SparseMatrix(nrows, ncols, indptr, cols, vals, domain)
+    order = _order(rows, cols, nrows, ncols)
+    rows, cols, vals = _fold(rows[order], cols[order], vals[order],
+                             dup, zero, domain, strict_dup)
+    return _csr(nrows, ncols, rows, cols, vals, domain)
 
 
 def build(sr: Semiring, dims, triples, dup: BinaryOp | None = None,
@@ -213,26 +223,9 @@ def transpose(a: SparseMatrix) -> SparseMatrix:
 
 def _transpose(a: SparseMatrix) -> SparseMatrix:
     rows = a.row_arrays()
-    order = np.lexsort((rows, a.indices))
-    t_rows = a.indices[order]
-    indptr = np.zeros(a.ncols + 1, dtype=np.int64)
-    if len(t_rows):
-        np.cumsum(np.bincount(t_rows, minlength=a.ncols), out=indptr[1:])
-    return SparseMatrix(a.ncols, a.nrows, indptr, rows[order],
-                        a.values[order], a.domain)
-
-
-def matrices_close(a: SparseMatrix, b: SparseMatrix, rel_tol=0.0) -> bool:
-    """Structural equality, with optional relative tolerance on values
-    (same stored pattern required either way)."""
-    if rel_tol == 0.0 or a.domain.dtype is not np.float64:
-        return a == b
-    if (a.dims != b.dims or a.domain.name != b.domain.name
-            or not np.array_equal(a.indptr, b.indptr)
-            or not np.array_equal(a.indices, b.indices)):
-        return False
-    return bool(np.allclose(a.values, b.values, rtol=rel_tol, atol=0.0,
-                            equal_nan=True))
+    order = _order(a.indices, rows, a.ncols, a.nrows)
+    return _csr(a.ncols, a.nrows, a.indices[order], rows[order],
+                a.values[order], a.domain)
 
 
 def check_no_stored_zero(a: SparseMatrix, zero) -> bool:

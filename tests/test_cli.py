@@ -71,6 +71,10 @@ class TestBfs:
     def test_out_of_range_source_exit_2(self, capsys):
         assert main(["bfs", EDGES, "--source", "99"]) == 2
 
+    def test_non_integer_source_exit_2(self, capsys):
+        assert main(["bfs", EDGES, "--source", "x"]) == 2
+        assert "'x'" in capsys.readouterr().err
+
 
 class TestSssp:
     def test_distances_table(self, tmp_path, capsys):
@@ -82,11 +86,19 @@ class TestSssp:
         assert lines[1] == "1\t2.5"
         assert lines[2] == "2\t4.0"
 
+    def test_non_integer_source_exit_2(self, capsys):
+        assert main(["sssp", EDGES, "--source", "abc"]) == 2
+        assert "'abc'" in capsys.readouterr().err
+
 
 class TestSubgraph:
     def test_fixture_four_vertex_subgraph(self, capsys):
         assert main(["subgraph", EDGES, "--rows", "0,1,3,6"]) == 0
         assert "4 x 4" in capsys.readouterr().out
+
+    def test_non_integer_row_exit_2(self, capsys):
+        assert main(["subgraph", EDGES, "--rows", "0,x"]) == 2
+        assert "'x'" in capsys.readouterr().err
 
 
 class TestTranspose:

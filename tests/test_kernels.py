@@ -1,10 +1,12 @@
 import math
+import operator
 import random
 
+import numpy as np
 import pytest
 
 import graphmat as gm
-from graphmat import oracle
+from graphmat import kernels, oracle
 from graphmat.errors import (
     DimensionError,
     DomainError,
@@ -24,6 +26,9 @@ ARITH = gm.semiring_by_name("arith-real")
 NAT = gm.semiring_by_name("arith-natural")
 MINPLUS = gm.semiring_by_name("min-plus")
 XOR = gm.semiring_by_name("xor-and")
+# non-commutative, so a fold in the wrong order gives a different value
+SUB = gm.BinaryOp("minus", operator.sub, commutative=False,
+                  associative=False)
 
 
 def identity_matrix(sr, n):
@@ -81,6 +86,56 @@ class TestMxm:
         b = random_matrix(XOR, rng, 3, 3)
         with pytest.raises(DomainError):
             gm.mxm(ARITH, a, b)
+
+
+class TestMxmChunks:
+    # B's row k holds k entries, so A(i, k) expands to k products
+    A_ENTRIES = {1: [1], 2: [1, 2], 4: [5, 4, 3], 5: [2], 7: [3, 1]}
+
+    def _operands(self, sr, rng):
+        b_rows = [k for k in range(6) for _ in range(k)]
+        b_cols = [j for k in range(6) for j in rng.sample(range(7), k)]
+        # values never equal the 0-element, so no entry is dropped
+        b = gm.build(sr, (6, 7), (b_rows, b_cols,
+                                  [rng.randrange(1, 100) for _ in b_rows]))
+        a_rows = [i for i, ks in self.A_ENTRIES.items() for _ in ks]
+        a_cols = [k for ks in self.A_ENTRIES.values() for k in ks]
+        a = gm.build(sr, (8, 6), (a_rows, a_cols,
+                                  [rng.randrange(1, 100) for _ in a_rows]))
+        return a, b
+
+    @pytest.mark.parametrize("name", ["arith-natural", "min-plus"])
+    def test_several_chunks_against_oracle(self, name, monkeypatch):
+        # rows 0, 3, 6 are empty and row 4 (12 products) is above the cap
+        sr = get_semiring(name)
+        monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 4)
+        folds = []
+        real_fold = kernels._fold
+
+        def counting_fold(*args, **kwargs):
+            folds.append(len(args[0]))
+            return real_fold(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_fold", counting_fold)
+        rng = random.Random(17)
+        for _ in range(10):
+            folds.clear()
+            a, b = self._operands(sr, rng)
+            got = gm.mxm(sr, a, b)
+            want = oracle.dense_mxm(sr, oracle.densify(a, sr.zero),
+                                    oracle.densify(b, sr.zero))
+            assert_matches_dense(got, want, sr.zero)
+            # chunks [0, 4), [4, 5), [5, 7), [7, 8): all within the cap
+            # of 4 products except row 4's chunk of its own
+            assert sorted(folds) == [2, 4, 4, 12]
+
+    def test_chunking_does_not_change_result(self, monkeypatch):
+        rng = random.Random(23)
+        a = random_matrix(NAT, rng, 9, 8, density=0.5)
+        b = random_matrix(NAT, rng, 8, 7, density=0.5)
+        whole = gm.mxm(NAT, a, b)
+        monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 3)
+        assert gm.mxm(NAT, a, b) == whole
 
 
 class TestMxv:
@@ -169,6 +224,26 @@ class TestEwise:
         with pytest.raises(DimensionError):
             gm.ewise_add(ARITH.add, 0.0, a, b)
 
+    def test_non_commutative_op_takes_a_first(self):
+        a = gm.build(ARITH, (2, 2), ([0, 1], [0, 1], [5.0, 7.0]))
+        b = gm.build(ARITH, (2, 2), ([0, 1], [0, 0], [2.0, 4.0]))
+        added = gm.ewise_add(SUB, 0.0, a, b)
+        assert (added.get(0, 0), added.get(1, 0), added.get(1, 1)) == \
+            (3.0, 4.0, 7.0)
+        assert gm.ewise_add(SUB, 0.0, b, a).get(0, 0) == -3.0
+        multiplied = gm.ewise_mult(SUB, 0.0, a, b)
+        assert multiplied.nnz == 1
+        assert multiplied.get(0, 0) == 3.0
+        assert gm.ewise_mult(SUB, 0.0, b, a).get(0, 0) == -3.0
+
+    def test_natural_overflow_raises(self):
+        big = 2**64 - 2
+        a = gm.build(NAT, (1, 2), ([0], [1], [big]))
+        with pytest.raises(DomainError):
+            gm.ewise_add(NAT.add, 0, a, a)
+        with pytest.raises(DomainError):
+            gm.ewise_mult(NAT.mul, 0, a, a)
+
 
 class TestExtract:
     def test_fixture_subgraph(self):
@@ -197,6 +272,69 @@ class TestExtract:
         a = random_matrix(ARITH, rng, 4, 4)
         with pytest.raises(IndexBoundsError):
             gm.extract(a, [0, 4], [0])
+
+
+class TestIndexVectors:
+    @pytest.mark.parametrize("bad", [[0.9, 1.7], [0, 1.5], [float("nan")],
+                                     [float("inf")], ["0"], [True, False]])
+    def test_non_integral_rejected(self, bad, rng):
+        a = random_matrix(ARITH, rng, 4, 4)
+        with pytest.raises(IndexBoundsError):
+            gm.extract(a, bad, [0])
+        with pytest.raises(IndexBoundsError):
+            gm.assign(a, bad, [0], gm.empty_matrix(ARITH, len(bad), 1))
+        with pytest.raises(IndexBoundsError):
+            gm.selection_matrix(ARITH, bad, 4)
+
+    def test_not_one_dimensional_rejected(self, rng):
+        a = random_matrix(ARITH, rng, 4, 4)
+        with pytest.raises(IndexBoundsError):
+            gm.extract(a, [[0, 1]], [0])
+        with pytest.raises(IndexBoundsError):
+            gm.extract(a, [0], 1)
+        with pytest.raises(IndexBoundsError):
+            gm.assign(a, [[0]], [0], gm.empty_matrix(ARITH, 1, 1))
+        with pytest.raises(IndexBoundsError):
+            gm.selection_matrix(ARITH, np.zeros((2, 2), dtype=int), 4)
+
+    def test_integral_floats_and_unsigned_accepted(self, rng):
+        a = random_matrix(ARITH, rng, 4, 4)
+        want = gm.extract(a, [2, 0], [3, 1])
+        assert gm.extract(a, [2.0, 0.0], [3, 1]) == want
+        assert gm.extract(a, np.array([2, 0], dtype=np.uint64),
+                          [3, 1]) == want
+
+
+class TestHugeDimensions:
+    # nrows * ncols >= 2**62 overflows the fused row-major sort key
+    BIG = 2**62
+
+    def test_lexsort_fallback(self, monkeypatch):
+        calls = []
+        real_lexsort = np.lexsort
+
+        def spy(keys, *args, **kwargs):
+            calls.append(len(keys))
+            return real_lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", spy)
+        big = self.BIG
+        a = gm.build(ARITH, (2, big), ([1, 0, 1, 0], [big - 1, 5, 3, 5],
+                                       [1.0, 2.0, 3.0, 4.0]))
+        assert calls
+        assert list(gm.extract_tuples(a)) == [
+            (0, 5, 6.0), (1, 3, 3.0), (1, big - 1, 1.0)]
+        b = gm.build(ARITH, (2, big), ([1, 0], [big - 1, 7], [10.0, 1.0]))
+        calls.clear()
+        product = gm.ewise_mult(ARITH.mul, 0.0, a, b)
+        assert calls
+        assert list(gm.extract_tuples(product)) == [(1, big - 1, 10.0)]
+        total = gm.ewise_add(ARITH.add, 0.0, a, b)
+        assert list(gm.extract_tuples(total)) == [
+            (0, 5, 6.0), (0, 7, 1.0), (1, 3, 3.0), (1, big - 1, 11.0)]
+        sub = gm.extract(a, [1, 0], [big - 1, 5, 3])
+        assert list(gm.extract_tuples(sub)) == [
+            (0, 0, 1.0), (0, 2, 3.0), (1, 1, 6.0)]
 
 
 class TestSelectionMatrix:

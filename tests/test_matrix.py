@@ -1,3 +1,4 @@
+import operator
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import graphmat as gm
 from graphmat import oracle
-from graphmat.errors import GraphMatError, IndexBoundsError
+from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 from graphmat.matrix import check_no_stored_zero
 
 from conftest import (
@@ -49,6 +50,21 @@ class TestBuild:
         with pytest.raises(GraphMatError):
             gm.build(ARITH, (2, 2), ([0, 0], [0, 0], [5.0, 3.0]),
                      strict_dup=True)
+
+    def test_non_commutative_dup_folds_in_input_order(self):
+        sub = gm.BinaryOp("minus", operator.sub, commutative=False,
+                          associative=False)
+        a = gm.build(ARITH, (2, 2), ([0, 1, 0, 0], [1, 0, 1, 1],
+                                     [10.0, 4.0, 3.0, 2.0]), dup=sub)
+        assert a.get(0, 1) == 5.0  # (10 - 3) - 2
+        assert a.get(1, 0) == 4.0
+
+    def test_folded_duplicates_stay_in_natural_domain(self):
+        nat = gm.semiring_by_name("arith-natural")
+        big = 2**64 - 2
+        assert gm.build(nat, (1, 1), ([0], [0], [big])).get(0, 0) == big
+        with pytest.raises(DomainError):
+            gm.build(nat, (1, 1), ([0, 0], [0, 0], [big, big]))
 
     def test_zero_valued_results_dropped(self):
         a = gm.build(ARITH, (2, 2), ([0, 0, 1], [0, 0, 1], [5.0, -5.0, 2.0]))
