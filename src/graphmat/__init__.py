@@ -37,6 +37,7 @@ from .kernels import (
     mxm,
     mxv,
     selection_matrix,
+    vxm,
 )
 from .matrix import (
     Dimensions,

@@ -37,8 +37,9 @@ class Domain:
 
     Membership is checked when scalars enter the system (matrix build,
     scalar entry points) and again on every folded result (build's
-    duplicates, ewise_add, ewise_mult, mxm). Fixed-width arithmetic
-    that wraps before the fold (int64 products) is not caught there.
+    duplicates, ewise_add, ewise_mult, mxm, vxm). int64 products and
+    sums are computed on Python ints, so an overflow reaches the fold
+    and fails there instead of wrapping. NaN is in no real domain.
     """
 
     name: str
@@ -64,6 +65,8 @@ class Domain:
         """
         if len(values) == 0:
             return
+        if self.dtype is np.float64 and np.isnan(values).any():
+            raise DomainError(f"NaN is not in domain {self.name}")
         if self.name == "natural":
             for v in values.flat:
                 if not (isinstance(v, int) and 0 <= v <= U64_MAX):
@@ -86,7 +89,8 @@ class Domain:
 
 
 def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and v == v)  # NaN is the one float unequal to itself
 
 
 def _render_real(v):
@@ -300,8 +304,8 @@ def semiring_by_name(
     if name == "xor-and":
         return Semiring(name, BOOL, OP_XOR, OP_AND, 0, 1)
     if name == "or-and":
-        # boolean structure semiring; used by BFS where xor's
-        # even-multiplicity cancellation would lose reachability
+        # boolean structure semiring: reachability without xor's
+        # even-multiplicity cancellation
         return Semiring(name, BOOL, OP_OR, OP_AND, 0, 1)
     if name == "union-intersect":
         if universe_size is None:

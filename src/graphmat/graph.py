@@ -1,9 +1,9 @@
 """Graph algorithms composed from the semiring kernels.
 
 Adjacency rows are out-vertices: A(i, j) stored means an edge i -> j.
-Frontier expansion therefore multiplies the transposed adjacency
-against a column frontier (equivalently v^T A), so the result lands on
-the in-vertices.
+Frontier expansion is therefore the row-vector product f A (`vxm`),
+which reads only the out-edges of the frontier and lands on the
+in-vertices.
 """
 
 from __future__ import annotations
@@ -13,15 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Semiring, semiring_by_name
+from .algebra import BOOL, OP_MIN, REAL, BinaryOp, Semiring, semiring_by_name
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .kernels import ewise_add, ewise_mult, mxm, mxv
-from .matrix import SparseMatrix, build, extract_tuples, transpose
+from .kernels import ewise_add, ewise_mult, mxm, vxm
+from .matrix import SparseMatrix, transpose
 
-_BOOL_SR = semiring_by_name("or-and")
 _GF2_SR = semiring_by_name("xor-and")
 _MINPLUS = semiring_by_name("min-plus")
 _ARITH = semiring_by_name("arith-real")
+# parent product: each frontier entry holds its own vertex id, "first"
+# carries it along every out-edge, and min keeps the smallest id per
+# reached vertex (SuiteSparse's ANY_SECONDI with a deterministic add)
+_FIRST = BinaryOp("first", lambda x, y: x, lambda x, y: x,
+                  commutative=False)
+_MIN_FIRST = Semiring("min-first", REAL, OP_MIN, _FIRST, math.inf, None)
 
 
 @dataclass
@@ -87,27 +92,42 @@ def laplacian_from_incidence(e_signed: SparseMatrix) -> SparseMatrix:
     """
     if e_signed.domain.name != "real":
         raise DomainError("signed incidence must be over the real domain")
-    for k in range(e_signed.nrows):
-        _, vals = e_signed.row(k)
-        if sorted(vals.tolist()) != [-1.0, 1.0]:
-            raise GraphMatError(
-                f"incidence row {k} is not one -1 and one +1")
+    ok = np.diff(e_signed.indptr) == 2
+    first = e_signed.indptr[:-1][ok]
+    x, y = e_signed.values[first], e_signed.values[first + 1]
+    ok[ok] = (np.abs(x) == 1) & (x + y == 0)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise GraphMatError(f"incidence row {k} is not one -1 and one +1")
     return mxm(_ARITH, transpose(e_signed), e_signed)
 
 
-def _one_hot(sr: Semiring, n, positions, value=None):
-    positions = list(positions)
-    return build(sr, (n, 1), (positions, [0] * len(positions),
-                              [value if value is not None else sr.one]
-                              * len(positions)))
+def _ones(domain, k):
+    """k ones of `domain` as a broadcast view, not a k-sized array."""
+    return np.broadcast_to(domain.dtype(1), k)
+
+
+def _row(n, idx, vals, domain):
+    """1 x n row vector storing `vals` at the sorted positions `idx`."""
+    return SparseMatrix(1, n, np.array([0, len(idx)]), idx, vals, domain)
+
+
+def _pattern(a, domain):
+    """The structure of `a` over `domain`: every stored entry reads 1."""
+    return SparseMatrix(a.nrows, a.ncols, a.indptr, a.indices,
+                        _ones(domain, a.nnz), domain)
 
 
 def bfs_levels(a: SparseMatrix, sources, max_hops=None,
                with_parents=True, gf2=False) -> BfsResult:
-    """Multi-source BFS by repeated frontier expansion q <- v^T A.
+    """Multi-source BFS by repeated frontier expansion f <- f A, masked
+    by the complement of the visited set.
 
-    Uses the boolean or-and structure semiring by default; gf2=True
-    switches to xor-and, where even edge multiplicities cancel.
+    Each frontier entry carries its own vertex id through a (min, first)
+    product, so every reached vertex gets its smallest-id predecessor one
+    level up as parent from the hop that reaches it. gf2=True decides
+    reachability with xor-and instead, where even edge multiplicities
+    cancel; parents then take a second product per hop.
     """
     if a.nrows != a.ncols:
         raise DimensionError("BFS needs a square adjacency matrix",
@@ -120,57 +140,45 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
             raise IndexBoundsError(f"source {s} outside [0, {n})")
     if max_hops is None:
         max_hops = n
-    sr = _GF2_SR if gf2 else _BOOL_SR
-    # structure-only copy of the transposed adjacency
-    at = transpose(a)
-    at = SparseMatrix(at.nrows, at.ncols, at.indptr, at.indices,
-                      np.ones(at.nnz, dtype=np.uint8), sr.domain)
-    levels = [None] * n
-    parents = [None] * n if with_parents else None
-    frontier = _one_hot(sr, n, set(sources))
-    for s in sources:
-        levels[s] = 0
+    ids, bits = _pattern(a, REAL), _pattern(a, BOOL)
+    level = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    level[frontier] = 0
     visited = frontier
     hop = 0
-    while frontier.nnz and hop < max_hops:
+    while len(frontier) and hop < max_hops:
         hop += 1
-        reached = mxv(sr, at, frontier)
-        # mask out already-visited vertices: keep vertices in `reached`
-        # whose entry vanishes under structural intersection with
-        # `visited`
-        hits = ewise_mult(sr.mul, sr.zero, reached, visited)
-        frontier = _subtract_structure(sr, reached, hits)
-        for v in frontier.row_arrays():
-            levels[int(v)] = hop
-        visited = ewise_add(sr.add if not gf2 else _BOOL_SR.add,
-                            sr.zero, visited, frontier)
-    if with_parents:
-        tri = extract_tuples(a)
-        for u, v, _ in tri:
-            if (levels[u] is not None and levels[v] == levels[u] + 1
-                    and (parents[v] is None or u < parents[v])):
-                parents[v] = u
-    return BfsResult(levels=levels, parents=parents)
+        seen = _row(n, visited, _ones(BOOL, len(visited)), BOOL)
+        ids_f = _row(n, frontier, frontier.astype(np.float64), REAL)
+        if gf2:  # reached: an odd number of frontier edges lead in
+            bits_f = _row(n, frontier, _ones(BOOL, len(frontier)), BOOL)
+            odd = vxm(_GF2_SR, bits_f, bits, mask=seen, complement=True)
+            up = vxm(_MIN_FIRST, ids_f, ids, mask=odd)
+        else:
+            up = vxm(_MIN_FIRST, ids_f, ids, mask=seen, complement=True)
+        frontier = up.indices
+        level[frontier] = hop
+        parent[frontier] = up.values.astype(np.int64)
+        visited = np.insert(visited, np.searchsorted(visited, frontier),
+                            frontier)
+    return BfsResult(levels=_unset_to_none(level),
+                     parents=_unset_to_none(parent) if with_parents else None)
 
 
-def _subtract_structure(sr, a, b):
-    """Entries of `a` whose position is not stored in `b`."""
-    if b.nnz == 0:
-        return a
-    a_keys = a.row_arrays() * a.ncols + a.indices
-    b_keys = b.row_arrays() * b.ncols + b.indices
-    rows = a.row_arrays()
-    keep = ~np.isin(a_keys, b_keys)
-    return build(sr, a.dims, (rows[keep], a.indices[keep],
-                              a.values[keep]))
+def _unset_to_none(arr):
+    return [None if x < 0 else x for x in arr.tolist()]
 
 
 def sssp_minplus(a: SparseMatrix, source) -> list:
     """Single-source shortest paths over min-plus.
 
-    Bellman-Ford style relaxation d <- min(d, A^T min-plus d) until
-    fixpoint or n - 1 rounds. Weights must be non-negative; the
-    implicit zero is +inf.
+    Bellman-Ford style relaxation d <- min(d, d A) until fixpoint or
+    n - 1 rounds. Each round relaxes only the out-edges of the vertices
+    whose distance changed in the round before; every other vertex was
+    relaxed at its present distance already, so the rounds and the
+    distances are those of relaxing every vertex each time. Weights must
+    be non-negative; the implicit zero is +inf.
     """
     if a.nrows != a.ncols:
         raise DimensionError("SSSP needs a square adjacency matrix",
@@ -181,19 +189,17 @@ def sssp_minplus(a: SparseMatrix, source) -> list:
     if a.nnz and float(a.values.min()) < 0:
         raise DomainError("negative edge weight in min-plus SSSP")
     n = a.nrows
-    at = transpose(a)
-    d = _one_hot(_MINPLUS, n, [source], value=0.0)
-    for _ in range(max(n - 1, 1)):
-        relaxed = ewise_add(_MINPLUS.add, _MINPLUS.zero, d,
-                            mxv(_MINPLUS, at, d))
-        if relaxed == d:
-            break
-        d = relaxed
-    dist = [math.inf] * n
-    for v, _, w in extract_tuples(d):
-        dist[v] = float(w)
+    dist = np.full(n, math.inf)
     dist[source] = 0.0
-    return dist
+    changed = np.array([source], dtype=np.int64)
+    for _ in range(max(n - 1, 1)):
+        relaxed = vxm(_MINPLUS, _row(n, changed, dist[changed], REAL), a)
+        better = relaxed.values < dist[relaxed.indices]
+        changed = relaxed.indices[better]
+        if not len(changed):
+            break
+        dist[changed] = relaxed.values[better]
+    return dist.tolist()
 
 
 def graph_union(sr: Semiring, a: SparseMatrix,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .matrix import SparseMatrix, _csr, _fold, _order, coalesce
+from .matrix import SparseMatrix, _csr, _fold, _order, _wide, coalesce
 
 # soft cap on expansion size per multiply chunk; keeps peak memory of
 # large products bounded without affecting results
@@ -96,8 +96,8 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         pos = _ranges(b.indptr[a.indices[lo:hi]], counts)
         i_exp = np.repeat(a_rows[lo:hi], counts)
         j_exp = b.indices[pos]
-        prod = sr.mul.ufunc(np.repeat(a.values[lo:hi], counts),
-                            b.values[pos])
+        prod = sr.mul.ufunc(_wide(np.repeat(a.values[lo:hi], counts),
+                                  sr.domain), b.values[pos])
         order = _order(i_exp, j_exp, a.nrows, b.ncols)
         parts.append(_fold(i_exp[order], j_exp[order], prod[order],
                            sr.add, sr.zero, sr.domain))
@@ -122,6 +122,51 @@ def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
 
 def _mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
     return _mxm(sr, a, v)
+
+
+def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
+        complement=False) -> SparseMatrix:
+    """Row vector times matrix: w(j) = add-reduction over k of
+    f(k) mul a(k,j); f must be 1 x n.
+
+    Push-style: only the rows of `a` that f stores are read, so the cost
+    follows the out-edges of the frontier, never nnz(a). `mask` is a
+    1 x ncols matrix read by structure: the result keeps the columns it
+    stores, or with complement=True the columns it does not store.
+    """
+    if f.nrows != 1:
+        raise DimensionError("vxm expects a row vector",
+                             expected=f"1x{a.nrows}",
+                             actual=f"{f.nrows}x{f.ncols}")
+    if f.ncols != a.nrows:
+        raise DimensionError("vector length does not match matrix rows",
+                             expected=f"1x{a.nrows}",
+                             actual=f"1x{f.ncols}")
+    if mask is not None and mask.dims != (1, a.ncols):
+        raise DimensionError("mask shape does not match the result",
+                             expected=f"1x{a.ncols}",
+                             actual=f"{mask.nrows}x{mask.ncols}")
+    _check_domains(sr, f, a)
+    return _vxm(sr, f, a, mask, complement)
+
+
+def _vxm(sr, f, a, mask, complement):
+    starts = a.indptr[f.indices]
+    counts = a.indptr[f.indices + 1] - starts
+    pos = _ranges(starts, counts)
+    src = np.repeat(np.arange(f.nnz), counts)
+    cols = a.indices[pos]
+    if mask is not None:  # masked columns go before the sort
+        stored = np.zeros(a.ncols, dtype=bool)
+        stored[mask.indices] = True
+        keep = stored[cols] != complement
+        pos, src, cols = pos[keep], src[keep], cols[keep]
+    prod = sr.mul.ufunc(_wide(f.values[src], sr.domain), a.values[pos])
+    rows = np.zeros(len(cols), dtype=np.int64)
+    order = _order(rows, cols, 1, a.ncols)
+    rows, cols, vals = _fold(rows, cols[order], prod[order], sr.add,
+                             sr.zero, sr.domain)
+    return _csr(1, a.ncols, rows, cols, vals, sr.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import BinaryOp, Domain, Semiring
-from .errors import DimensionError, GraphMatError, IndexBoundsError
+from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
 
 
 class Dimensions(NamedTuple):
@@ -121,9 +121,21 @@ def _check_dims(nrows, ncols):
 
 def _order(rows, cols, nrows, ncols):
     """Stable row-major order of (rows, cols): equal keys keep input order."""
+    if nrows * ncols <= 2**16:  # numpy radix-sorts 16-bit keys
+        return np.argsort((rows * ncols + cols).astype(np.uint16),
+                          kind="stable")
     if nrows * ncols < 2**62:
         return np.argsort(rows * ncols + cols, kind="stable")
     return np.lexsort((cols, rows))
+
+
+def _wide(vals, domain: Domain):
+    """`vals` ready for arithmetic in `domain`: int64 values become Python
+    ints, so products and sums cannot wrap; `_fold` narrows them back and
+    raises DomainError for any that no longer fit."""
+    if np.dtype(domain.dtype) == np.int64:
+        return vals.astype(object)
+    return vals
 
 
 def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
@@ -139,9 +151,13 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
             f"duplicate entry at ({rows[k]}, {cols[k]}) in strict mode")
     starts = np.flatnonzero(boundary)
     if len(starts):
-        vals = dup.ufunc.reduceat(vals, starts)
+        vals = dup.ufunc.reduceat(_wide(vals, domain), starts)
     if vals.dtype != domain.dtype:
-        vals = vals.astype(domain.dtype)
+        try:
+            vals = vals.astype(domain.dtype)
+        except OverflowError:
+            raise DomainError(
+                f"folded value outside domain {domain.name}") from None
     keep = vals != zero
     vals = vals[keep]
     domain.check_array(vals)

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
 
 from graphmat import algebra
@@ -111,6 +112,23 @@ class TestDomainChecks:
             scalar_add(sr, 1 << 10, 1)
         with pytest.raises(DomainError):
             set_from_elements([70])
+
+
+class TestNaN:
+    @pytest.mark.parametrize("name", ["arith-real", "min-plus", "max-min",
+                                      "min-max"])
+    def test_real_domains_reject_nan(self, name):
+        sr = semiring_by_name(name)
+        assert not sr.domain.contains(math.nan)
+        with pytest.raises(DomainError):
+            scalar_add(sr, math.nan, sr.one)
+        with pytest.raises(DomainError):
+            sr.domain.check_array(np.array([1.0, math.nan]))
+
+    def test_infinities_stay_members(self):
+        real = semiring_by_name("arith-real").domain
+        assert real.contains(math.inf) and real.contains(-math.inf)
+        real.check_array(np.array([math.inf, -math.inf]))
 
 
 class TestLaws:

@@ -91,6 +91,13 @@ class TestSssp:
         assert "'abc'" in capsys.readouterr().err
 
 
+    def test_nan_weight_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "nan.tsv"
+        p.write_text("0\t1\t2.5\n1\t2\tnan\n")
+        assert main(["sssp", str(p), "--source", "0"]) == 2
+        assert "NaN" in capsys.readouterr().err
+
+
 class TestSubgraph:
     def test_fixture_four_vertex_subgraph(self, capsys):
         assert main(["subgraph", EDGES, "--rows", "0,1,3,6"]) == 0

@@ -39,6 +39,18 @@ def random_digraph(rng, n, density=0.15, weights=False):
     return gm.build(sr, (n, n), (rows, cols, vals))
 
 
+def parents_oracle(d, levels):
+    """Smallest u with an edge u -> v and levels[u] == levels[v] - 1, for
+    every vertex reached at level one or more, by a plain loop."""
+    n = len(levels)
+    want = [None] * n
+    for v in range(n):
+        if levels[v]:
+            want[v] = min(u for u in range(n) if d[u, v] != 0.0
+                          and levels[u] == levels[v] - 1)
+    return want
+
+
 class TestAdjacencyFromIncidence:
     def test_fixture_projection(self):
         e_out, e_in = fixture_incidence()
@@ -148,6 +160,29 @@ class TestLaplacian:
         with pytest.raises(GraphMatError):
             gm.laplacian_from_incidence(e)
 
+    @pytest.mark.parametrize("bad", [
+        [],                    # no entries
+        [(0, -1.0)],           # one entry
+        [(0, 1.0), (2, 1.0)],  # two +1
+        [(0, -2.0), (2, 2.0)],  # magnitude 2
+        [(0, -1.0), (1, 0.5)],  # does not sum to 0
+        [(0, -1.0), (1, 1.0), (2, 1.0)],  # three entries
+    ])
+    def test_error_names_first_bad_row(self, bad):
+        rng = random.Random(len(bad))
+        for _ in range(5):
+            k = rng.randrange(6)
+            rows, cols, vals = [], [], []
+            for r in range(6):
+                entries = bad if r in (k, 5) else [(0, 1.0), (2, -1.0)]
+                rows += [r] * len(entries)
+                cols += [c for c, _ in entries]
+                vals += [v for _, v in entries]
+            e = gm.build(ARITH, (6, 3), (rows, cols, vals))
+            with pytest.raises(GraphMatError,
+                               match=f"incidence row {k} is not"):
+                gm.laplacian_from_incidence(e)
+
 
 class TestBfs:
     def test_fixture_level_one(self):
@@ -208,6 +243,37 @@ class TestBfs:
             if p is not None:
                 assert res.levels[v] == res.levels[p] + 1
                 assert a.get(p, v) is not None
+
+    @pytest.mark.parametrize("case", ["one-source", "sources", "max-hops",
+                                      "gf2"])
+    def test_parents_are_smallest_predecessor_one_level_up(self, case):
+        rng = random.Random(42)
+        for _ in range(40):
+            n = rng.randint(2, 40)
+            a = random_digraph(rng, n)
+            k = 1 if case == "one-source" else rng.randint(2, min(n, 4))
+            sources = rng.sample(range(n), k)
+            hops = rng.randint(1, 3) if case == "max-hops" else None
+            res = gm.bfs_levels(a, sources, max_hops=hops,
+                                gf2=case == "gf2")
+            d = oracle.densify(a, 0.0)
+            if case != "gf2":
+                assert res.levels == oracle.dense_bfs(d, sources, 0.0,
+                                                      max_hops=hops)
+            assert res.parents == parents_oracle(d, res.levels)
+
+    def test_traversals_never_walk_or_transpose_a(self, monkeypatch):
+        a = random_digraph(random.Random(5), 30, weights=True)
+
+        def walk(*args):
+            raise AssertionError("O(nnz) pass over the adjacency")
+
+        monkeypatch.setattr(gm.SparseMatrix, "row_arrays", walk)
+        monkeypatch.setattr(gm.matrix, "_transpose", walk)
+        d = oracle.densify(a, math.inf)
+        for gf2 in (False, True):
+            gm.bfs_levels(a, [0, 3], gf2=gf2)
+        assert gm.sssp_minplus(a, 0) == oracle.dense_sssp(d, 0, math.inf)
 
     def test_out_of_bounds_source(self):
         a = load_fixture_adjacency()

@@ -7,15 +7,17 @@ import pytest
 
 import graphmat as gm
 from graphmat import kernels, oracle
+from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import (
     DimensionError,
     DomainError,
     GraphMatError,
     IndexBoundsError,
 )
-from graphmat.matrix import check_no_stored_zero
+from graphmat.matrix import SparseMatrix, check_no_stored_zero
 
 from conftest import (
+    NAMED_SEMIRINGS,
     assert_matches_dense,
     get_semiring,
     load_fixture_adjacency,
@@ -165,6 +167,122 @@ class TestMxv:
         a = random_matrix(ARITH, rng, 4, 4)
         with pytest.raises(DimensionError):
             gm.mxv(ARITH, a, random_matrix(ARITH, rng, 4, 2))
+
+
+class TestVxm:
+    @staticmethod
+    def _want(sr, f, a, mask, complement):
+        """(A^T f^T)^T by the dense oracle, then the mask by structure."""
+        d = oracle.dense_mxm(sr, oracle.densify(gm.transpose(a), sr.zero),
+                             oracle.densify(gm.transpose(f), sr.zero))
+        want = oracle.DenseMatrix(1, a.ncols, sr.zero)
+        for j in range(a.ncols):
+            if mask is None or (mask.get(0, j) is not None) != complement:
+                want[0, j] = d[j, 0]
+        return want
+
+    @pytest.mark.parametrize("masked", ["none", "mask", "complement"])
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_against_dense_oracle(self, name, masked):
+        sr = get_semiring(name)
+        rng = random.Random(31)
+        complement = masked == "complement"
+        for _ in range(15):
+            n, m = rng.randint(1, 9), rng.randint(1, 9)
+            a = random_matrix(sr, rng, n, m, density=0.4)
+            f = random_matrix(sr, rng, 1, n, density=0.5)
+            # the mask is read by structure, so its domain does not matter
+            mask = (None if masked == "none"
+                    else random_matrix(XOR, rng, 1, m, density=0.5))
+            got = gm.vxm(sr, f, a, mask=mask, complement=complement)
+            assert_matches_dense(got, self._want(sr, f, a, mask, complement),
+                                 sr.zero,
+                                 rel_tol=1e-12 if name == "arith-real" else 0)
+
+    def test_empty_frontier(self, rng):
+        a = random_matrix(ARITH, rng, 5, 4, density=0.6)
+        got = gm.vxm(ARITH, gm.empty_matrix(ARITH, 1, 5), a)
+        assert got.dims == (1, 4) and got.nnz == 0
+
+    def test_frontier_on_empty_rows(self):
+        a = gm.build(ARITH, (4, 4), ([0, 0, 3], [1, 2, 0], [1.0, 2.0, 3.0]))
+        f = gm.build(ARITH, (1, 4), ([0, 0], [1, 2], [5.0, 6.0]))
+        got = gm.vxm(ARITH, f, a)
+        assert got.dims == (1, 4) and got.nnz == 0
+
+    def test_all_columns_masked_out(self, rng):
+        a = random_matrix(ARITH, rng, 4, 4, density=0.8)
+        f = gm.build(ARITH, (1, 4), ([0] * 4, range(4), [1.0] * 4))
+        full = gm.build(XOR, (1, 4), ([0] * 4, range(4), [1] * 4))
+        assert gm.vxm(ARITH, f, a, mask=full, complement=True).nnz == 0
+
+    def test_shape_checks_match_mxv(self, rng):
+        a = random_matrix(ARITH, rng, 4, 5)
+        with pytest.raises(DimensionError):
+            gm.vxm(ARITH, random_matrix(ARITH, rng, 2, 4), a)
+        with pytest.raises(DimensionError):
+            gm.vxm(ARITH, random_matrix(ARITH, rng, 1, 5), a)
+        with pytest.raises(DimensionError):
+            gm.vxm(ARITH, random_matrix(ARITH, rng, 1, 4), a,
+                   mask=random_matrix(ARITH, rng, 1, 4))
+
+    def test_domain_mismatch_matches_mxv(self, rng):
+        a = random_matrix(ARITH, rng, 3, 3)
+        f = random_matrix(XOR, rng, 1, 3)
+        with pytest.raises(DomainError):
+            gm.vxm(ARITH, f, a)
+        with pytest.raises(DomainError):
+            gm.vxm(XOR, f, a)
+
+    def test_one_hot_does_not_walk_the_matrix(self, monkeypatch):
+        a = load_fixture_adjacency()
+        f = gm.build(ARITH, (1, 7), ([0], [3], [1.0]))
+
+        def walk(self):
+            raise AssertionError("row_arrays walks every stored entry")
+
+        monkeypatch.setattr(SparseMatrix, "row_arrays", walk)
+        reached = gm.vxm(ARITH, f, a)
+        assert reached.indices.tolist() == [0, 2]
+
+
+class TestInt64Closed:
+    """Products and folded sums that leave int64 raise, never wrap."""
+
+    INT = gm.make_semiring("int-arith", INTEGER, OP_PLUS, OP_TIMES, 0, 1)
+
+    def _m(self, dims, rows, cols, vals):
+        return gm.build(self.INT, dims, (rows, cols, vals))
+
+    def test_product_overflow_raises(self):
+        a = self._m((1, 1), [0], [0], [2**62])
+        b = self._m((1, 1), [0], [0], [4])
+        for product in (gm.mxm, gm.mxv, gm.vxm):
+            with pytest.raises(DomainError):
+                product(self.INT, a, b)
+
+    def test_sum_overflow_raises(self):
+        row = self._m((1, 2), [0, 0], [0, 1], [2**62, 2**62])
+        col = self._m((2, 1), [0, 1], [0, 0], [1, 1])
+        with pytest.raises(DomainError):
+            gm.mxm(self.INT, row, col)
+        with pytest.raises(DomainError):
+            gm.vxm(self.INT, row, col)
+        x = self._m((1, 1), [0], [0], [2**62])
+        with pytest.raises(DomainError):
+            gm.ewise_add(OP_PLUS, 0, x, x)
+        with pytest.raises(DomainError):
+            self._m((1, 1), [0, 0], [0, 0], [2**62, 2**62])
+
+    def test_results_at_the_bounds_are_kept(self):
+        low = gm.mxm(self.INT, self._m((1, 1), [0], [0], [-(2**62)]),
+                     self._m((1, 1), [0], [0], [2]))
+        assert low.values.tolist() == [-(2**63)]
+        row = self._m((1, 2), [0, 0], [0, 1], [2**62 - 1, 2**62])
+        col = self._m((2, 1), [0, 1], [0, 0], [1, 1])
+        for got in (gm.mxm(self.INT, row, col), gm.vxm(self.INT, row, col)):
+            assert got.values.dtype == np.int64
+            assert got.values.tolist() == [2**63 - 1]
 
 
 class TestEwise:

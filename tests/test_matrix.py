@@ -149,3 +149,39 @@ class TestCanonicalInvariants:
             for i in range(a.nrows):
                 cols, _ = a.row(i)
                 assert np.all(np.diff(cols) > 0)
+
+
+class TestNaNRejected:
+    def test_build_rejects_nan(self):
+        sr = gm.semiring_by_name("min-plus")
+        with pytest.raises(DomainError):
+            gm.build(sr, (2, 2), ([0], [1], [float("nan")]))
+
+    def test_fold_rejects_nan(self):
+        # inf + -inf is NaN: caught at the fold of ewise_add and mxm
+        sr = gm.semiring_by_name("arith-real")
+        pos = gm.build(sr, (1, 1), ([0], [0], [float("inf")]))
+        neg = gm.build(sr, (1, 1), ([0], [0], [float("-inf")]))
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            gm.ewise_add(sr.add, sr.zero, pos, neg)
+        row = gm.build(sr, (1, 2), ([0, 0], [0, 1],
+                                    [float("inf"), float("-inf")]))
+        col = gm.build(sr, (2, 1), ([0, 1], [0, 0], [1.0, 1.0]))
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            gm.mxm(sr, row, col)
+        with pytest.raises(DomainError), np.errstate(invalid="ignore"):
+            gm.vxm(sr, row, col)
+
+
+class TestOrder:
+    @pytest.mark.parametrize("dims", [(16, 4096), (17, 4096)])
+    def test_stable_row_major_on_either_side_of_16_bit_keys(self, dims):
+        # 16 x 4096 keys fit 16 bits and take numpy's radix sort; one
+        # more row takes the int64 sort; both must keep input order
+        from graphmat.matrix import _order
+
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, dims[0], 5000)
+        cols = rng.integers(0, dims[1], 5000)
+        assert np.array_equal(_order(rows, cols, *dims),
+                              np.lexsort((cols, rows)))
