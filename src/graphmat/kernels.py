@@ -15,11 +15,19 @@ import numpy as np
 
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .matrix import SparseMatrix, _csr, _fold, _order, _wide, coalesce
+from .matrix import (SparseMatrix, _csr, _fold, _narrow, _order, _wide,
+                     coalesce)
 
 # soft cap on expansion size per multiply chunk; keeps peak memory of
 # large products bounded without affecting results
 _MXM_CHUNK_PRODUCTS = 1 << 22
+# products per vxm chunk: a chunk's 8-byte temporaries stay at 64 KiB,
+# below the C allocator's default mmap threshold, so every chunk and hop
+# reuses the same heap memory instead of faulting in fresh pages
+_VXM_CHUNK_PRODUCTS = 1 << 13
+# vxm folds in one slot per result column when the result has at most
+# this many columns or at most as many as there are products
+_VXM_DENSE_COLS = 1 << 16
 
 
 def _ranges(starts, counts):
@@ -130,7 +138,9 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
     f(k) mul a(k,j); f must be 1 x n.
 
     Push-style: only the rows of `a` that f stores are read, so the cost
-    follows the out-edges of the frontier, never nnz(a). `mask` is a
+    follows the out-edges of the frontier, never nnz(a); the products
+    fold into one slot per result column, or are sorted and folded when
+    the result is wider than both 2**16 and the product count. `mask` is a
     1 x ncols matrix read by structure: the result keeps the columns it
     stores, or with complement=True the columns it does not store.
     """
@@ -153,13 +163,43 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
 def _vxm(sr, f, a, mask, complement):
     starts = a.indptr[f.indices]
     counts = a.indptr[f.indices + 1] - starts
+    before = np.cumsum(counts) - counts  # products of earlier entries
+    products = int(before[-1] + counts[-1]) if f.nnz else 0
+    if a.ncols > max(products, _VXM_DENSE_COLS):
+        return _vxm_sorted(sr, f, a, mask, complement, starts, counts)
+    # one slot per result column, at the semiring's 0-element; ufunc.at
+    # folds each product into its column's slot in input order, left to
+    # right as _fold does
+    acc = _wide(np.full(a.ncols, sr.zero, dtype=sr.domain.dtype), sr.domain)
+    lo = 0
+    while lo < f.nnz:
+        hi = int(np.searchsorted(before, before[lo] + _VXM_CHUNK_PRODUCTS))
+        hi = max(hi, lo + 1)
+        pos = _ranges(starts[lo:hi], counts[lo:hi])
+        prod = sr.mul.ufunc(_wide(np.repeat(f.values[lo:hi], counts[lo:hi]),
+                                  sr.domain), a.values[pos])
+        sr.add.ufunc.at(acc, a.indices[pos], prod)
+        lo = hi
+    keep = acc != sr.zero
+    if mask is not None:
+        in_mask = np.zeros(a.ncols, dtype=bool)
+        in_mask[mask.indices] = True
+        keep &= in_mask != complement
+    cols = np.flatnonzero(keep)
+    vals = _narrow(acc[cols], sr.domain)
+    sr.domain.check_array(vals)
+    return SparseMatrix(1, a.ncols, np.array([0, len(cols)]), cols, vals,
+                        sr.domain)
+
+
+def _vxm_sorted(sr, f, a, mask, complement, starts, counts):
+    """vxm by sort and fold, for results too wide for one slot per
+    column."""
     pos = _ranges(starts, counts)
     src = np.repeat(np.arange(f.nnz), counts)
     cols = a.indices[pos]
     if mask is not None:  # masked columns go before the sort
-        stored = np.zeros(a.ncols, dtype=bool)
-        stored[mask.indices] = True
-        keep = stored[cols] != complement
+        keep = np.isin(cols, mask.indices) != complement
         pos, src, cols = pos[keep], src[keep], cols[keep]
     prod = sr.mul.ufunc(_wide(f.values[src], sr.domain), a.values[pos])
     rows = np.zeros(len(cols), dtype=np.int64)

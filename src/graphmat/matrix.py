@@ -131,10 +131,22 @@ def _order(rows, cols, nrows, ncols):
 
 def _wide(vals, domain: Domain):
     """`vals` ready for arithmetic in `domain`: int64 values become Python
-    ints, so products and sums cannot wrap; `_fold` narrows them back and
+    ints, so products and sums cannot wrap; `_narrow` turns them back and
     raises DomainError for any that no longer fit."""
     if np.dtype(domain.dtype) == np.int64:
         return vals.astype(object)
+    return vals
+
+
+def _narrow(vals, domain: Domain):
+    """Folded `vals` in `domain`'s dtype; DomainError for any that no
+    longer fit."""
+    if vals.dtype != domain.dtype:
+        try:
+            vals = vals.astype(domain.dtype)
+        except OverflowError:
+            raise DomainError(
+                f"folded value outside domain {domain.name}") from None
     return vals
 
 
@@ -152,12 +164,7 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
     starts = np.flatnonzero(boundary)
     if len(starts):
         vals = dup.ufunc.reduceat(_wide(vals, domain), starts)
-    if vals.dtype != domain.dtype:
-        try:
-            vals = vals.astype(domain.dtype)
-        except OverflowError:
-            raise DomainError(
-                f"folded value outside domain {domain.name}") from None
+    vals = _narrow(vals, domain)
     keep = vals != zero
     vals = vals[keep]
     domain.check_array(vals)

@@ -199,6 +199,42 @@ class TestVxm:
                                  sr.zero,
                                  rel_tol=1e-12 if name == "arith-real" else 0)
 
+    @pytest.mark.parametrize("masked", ["none", "mask", "complement"])
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_several_chunks_against_oracle(self, name, masked, monkeypatch):
+        # a cap of 2 products splits most frontiers, and rows with more
+        # than 2 entries make chunks of their own above the cap
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 2)
+        self.test_against_dense_oracle(name, masked)
+
+    @pytest.mark.parametrize("masked", ["none", "mask", "complement"])
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_wide_result_matches_narrow(self, name, masked):
+        # the same products on 2**40 columns take the sort-and-fold path;
+        # column k of the narrow result is column wide[k] of the wide one
+        sr = get_semiring(name)
+        rng = random.Random(37)
+        complement = masked == "complement"
+        wide = np.array(sorted(rng.sample(range(2**40), 9)), dtype=np.int64)
+        for _ in range(15):
+            n = rng.randint(1, 9)
+            a = random_matrix(sr, rng, n, 9, density=0.4)
+            f = random_matrix(sr, rng, 1, n, density=0.5)
+            mask = (None if masked == "none"
+                    else random_matrix(XOR, rng, 1, 9, density=0.5))
+            a_wide = gm.build(sr, (n, 2**40), (a.row_arrays(),
+                                               wide[a.indices], a.values))
+            mask_wide = None if mask is None else gm.build(
+                XOR, (1, 2**40), ([0] * mask.nnz, wide[mask.indices],
+                                  mask.values))
+            want = gm.vxm(sr, f, a, mask=mask, complement=complement)
+            got = gm.vxm(sr, f, a_wide, mask=mask_wide,
+                         complement=complement)
+            assert got.dims == (1, 2**40)
+            assert got.indices.tolist() == wide[want.indices].tolist()
+            assert got.values.tolist() == pytest.approx(
+                want.values.tolist(), rel=1e-12)
+
     def test_empty_frontier(self, rng):
         a = random_matrix(ARITH, rng, 5, 4, density=0.6)
         got = gm.vxm(ARITH, gm.empty_matrix(ARITH, 1, 5), a)
