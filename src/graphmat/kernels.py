@@ -18,16 +18,17 @@ from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
 from .matrix import (SparseMatrix, _csr, _fold, _narrow, _order, _wide,
                      coalesce)
 
-# soft cap on expansion size per multiply chunk; keeps peak memory of
-# large products bounded without affecting results
-_MXM_CHUNK_PRODUCTS = 1 << 22
+# cap on expanded products per multiply block; it bounds peak memory
+# without affecting results, and blocks this small keep their 512 KiB
+# temporaries and accumulator in cache
+_MXM_CHUNK_PRODUCTS = 1 << 16
 # products per vxm chunk: a chunk's 8-byte temporaries stay at 64 KiB,
 # below the C allocator's default mmap threshold, so every chunk and hop
 # reuses the same heap memory instead of faulting in fresh pages
 _VXM_CHUNK_PRODUCTS = 1 << 13
-# vxm folds in one slot per result column when the result has at most
-# this many columns or at most as many as there are products
-_VXM_DENSE_COLS = 1 << 16
+# a product folds into one slot per output position unless the slots
+# outnumber both this and four times the products
+_DENSE_MIN_SLOTS = 1 << 16
 
 
 def _ranges(starts, counts):
@@ -36,10 +37,9 @@ def _ranges(starts, counts):
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    return (np.arange(total, dtype=np.int64)
-            - np.repeat(ends - counts, counts)
-            + np.repeat(starts, counts))
+    flat = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    flat += np.arange(total, dtype=np.int64)
+    return flat
 
 
 def _check_domains(sr_or_domain, *mats):
@@ -68,6 +68,34 @@ def _check_index_vector(idx, bound, what):
     return raw.astype(np.int64, copy=False)
 
 
+def _dense(slots, products):
+    """Whether `products` fold into `slots` accumulator slots, one per
+    output position, rather than by sort and fold: the accumulator pays
+    unless the slots far outnumber the products."""
+    return slots <= max(4 * products, _DENSE_MIN_SLOTS)
+
+
+def _accumulate(sr, nslots, chunks, keep=None):
+    """Fold (slots, products) chunks into a sparse accumulator of `nslots`
+    slots (Gilbert, Moler & Schreiber 1992) and return the positions and
+    values of the slots that end nonzero, in slot order.
+
+    Every slot starts at the 0-element and ufunc.at folds each product
+    into its slot in input order, left to right as _fold does. `keep`,
+    a bool per slot, drops slots before the domain check.
+    """
+    acc = _wide(np.full(nslots, sr.zero, dtype=sr.domain.dtype), sr.domain)
+    for slots, prod in chunks:
+        sr.add.ufunc.at(acc, slots, prod)
+    nonzero = acc != sr.zero
+    if keep is not None:
+        nonzero &= keep
+    pos = np.flatnonzero(nonzero)
+    vals = _narrow(acc[pos], sr.domain)
+    sr.domain.check_array(vals)
+    return pos, vals
+
+
 # ---------------------------------------------------------------------------
 # matrix multiply
 
@@ -83,14 +111,16 @@ def mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 
 def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Gustavson's row-wise product (1978), one block of rows at a time."""
     b_rowlen = np.diff(b.indptr)
     a_rows = a.row_arrays()
     per_entry = b_rowlen[a.indices]
 
-    # split output rows into chunks whose expanded product count stays
-    # below the cap (a single row above it is a chunk of its own);
-    # groups for a given (i, j) never straddle chunks because chunks end
-    # on row boundaries
+    # split output rows into blocks whose expanded products stay below
+    # the cap (a single row above it is a block of its own); a block's
+    # accumulator holds at most 4x its products or 2**16 slots, so the cap
+    # bounds it too. An output entry never straddles blocks because
+    # blocks end on row boundaries
     row_cum = np.concatenate(([0], np.cumsum(per_entry)))[a.indptr]
     empty = np.empty(0, dtype=np.int64)
     parts = [(empty, empty, np.empty(0, dtype=sr.domain.dtype))]
@@ -102,13 +132,21 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         lo, hi = a.indptr[r0], a.indptr[r1]
         counts = per_entry[lo:hi]
         pos = _ranges(b.indptr[a.indices[lo:hi]], counts)
-        i_exp = np.repeat(a_rows[lo:hi], counts)
         j_exp = b.indices[pos]
         prod = sr.mul.ufunc(_wide(np.repeat(a.values[lo:hi], counts),
                                   sr.domain), b.values[pos])
-        order = _order(i_exp, j_exp, a.nrows, b.ncols)
-        parts.append(_fold(i_exp[order], j_exp[order], prod[order],
-                           sr.add, sr.zero, sr.domain))
+        if _dense((r1 - r0) * b.ncols, len(prod)):
+            # slot (i - r0) * ncols + j, so slot order is row-major order
+            slots = np.repeat((a_rows[lo:hi] - r0) * b.ncols, counts)
+            slots += j_exp
+            kept, vals = _accumulate(sr, (r1 - r0) * b.ncols, [(slots, prod)])
+            rows = kept // b.ncols
+            parts.append((rows + r0, kept - rows * b.ncols, vals))
+        else:
+            i_exp = np.repeat(a_rows[lo:hi], counts)
+            order = _order(i_exp, j_exp, a.nrows, b.ncols)
+            parts.append(_fold(i_exp[order], j_exp[order], prod[order],
+                               sr.add, sr.zero, sr.domain))
         r0 = r1
     rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
     return _csr(a.nrows, b.ncols, rows, cols, vals, sr.domain)
@@ -140,9 +178,10 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
     Push-style: only the rows of `a` that f stores are read, so the cost
     follows the out-edges of the frontier, never nnz(a); the products
     fold into one slot per result column, or are sorted and folded when
-    the result is wider than both 2**16 and the product count. `mask` is a
-    1 x ncols matrix read by structure: the result keeps the columns it
-    stores, or with complement=True the columns it does not store.
+    the result is wider than both 2**16 and four times the product
+    count. `mask` is a 1 x ncols matrix read by structure: the result
+    keeps the columns it stores, or with complement=True the columns it
+    does not store.
     """
     if f.nrows != 1:
         raise DimensionError("vxm expects a row vector",
@@ -165,29 +204,25 @@ def _vxm(sr, f, a, mask, complement):
     counts = a.indptr[f.indices + 1] - starts
     before = np.cumsum(counts) - counts  # products of earlier entries
     products = int(before[-1] + counts[-1]) if f.nnz else 0
-    if a.ncols > max(products, _VXM_DENSE_COLS):
+    if not _dense(a.ncols, products):
         return _vxm_sorted(sr, f, a, mask, complement, starts, counts)
-    # one slot per result column, at the semiring's 0-element; ufunc.at
-    # folds each product into its column's slot in input order, left to
-    # right as _fold does
-    acc = _wide(np.full(a.ncols, sr.zero, dtype=sr.domain.dtype), sr.domain)
-    lo = 0
-    while lo < f.nnz:
-        hi = int(np.searchsorted(before, before[lo] + _VXM_CHUNK_PRODUCTS))
-        hi = max(hi, lo + 1)
-        pos = _ranges(starts[lo:hi], counts[lo:hi])
-        prod = sr.mul.ufunc(_wide(np.repeat(f.values[lo:hi], counts[lo:hi]),
-                                  sr.domain), a.values[pos])
-        sr.add.ufunc.at(acc, a.indices[pos], prod)
-        lo = hi
-    keep = acc != sr.zero
+
+    def chunks():
+        lo = 0
+        while lo < f.nnz:
+            hi = int(np.searchsorted(before, before[lo] + _VXM_CHUNK_PRODUCTS))
+            hi = max(hi, lo + 1)
+            pos = _ranges(starts[lo:hi], counts[lo:hi])
+            yield a.indices[pos], sr.mul.ufunc(
+                _wide(np.repeat(f.values[lo:hi], counts[lo:hi]), sr.domain),
+                a.values[pos])
+            lo = hi
+
+    keep = None
     if mask is not None:
-        in_mask = np.zeros(a.ncols, dtype=bool)
-        in_mask[mask.indices] = True
-        keep &= in_mask != complement
-    cols = np.flatnonzero(keep)
-    vals = _narrow(acc[cols], sr.domain)
-    sr.domain.check_array(vals)
+        keep = np.full(a.ncols, bool(complement))
+        keep[mask.indices] = not complement
+    cols, vals = _accumulate(sr, a.ncols, chunks(), keep)
     return SparseMatrix(1, a.ncols, np.array([0, len(cols)]), cols, vals,
                         sr.domain)
 

@@ -162,8 +162,18 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
         raise GraphMatError(
             f"duplicate entry at ({rows[k]}, {cols[k]}) in strict mode")
     starts = np.flatnonzero(boundary)
-    if len(starts):
-        vals = dup.ufunc.reduceat(_wide(vals, domain), starts)
+    vals = _wide(vals, domain)
+    if dup.ufunc is np.add and vals.dtype.kind == "f":
+        # numpy's reduceat adds a float run as a0 + (a1 + ... + an), the
+        # rest summed pairwise; ufunc.at folds it left to right
+        rest = np.flatnonzero(~boundary)
+        folded = vals[starts]
+        # rest[k] follows rest[k] - k run starts, so it is in run
+        # rest[k] - k - 1
+        np.add.at(folded, rest - np.arange(1, len(rest) + 1), vals[rest])
+        vals = folded
+    elif len(starts):
+        vals = dup.ufunc.reduceat(vals, starts)
     vals = _narrow(vals, domain)
     keep = vals != zero
     vals = vals[keep]
@@ -199,6 +209,22 @@ def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
     return _csr(nrows, ncols, rows, cols, vals, domain)
 
 
+def _convert(vals, domain: Domain):
+    """`vals` in `domain`'s dtype; DomainError for any value the cast
+    would change (wrapped, truncated or out of range)."""
+    if domain.dtype is object:
+        return np.asarray(list(vals), dtype=object)
+    raw = np.asarray(vals)
+    try:
+        with np.errstate(invalid="ignore"):
+            cast = raw.astype(domain.dtype, copy=False)
+    except OverflowError:  # Python ints beyond the dtype
+        raise DomainError(f"value outside domain {domain.name}") from None
+    if cast.dtype != raw.dtype and not np.array_equal(cast, raw):
+        raise DomainError(f"value outside domain {domain.name}")
+    return cast
+
+
 def build(sr: Semiring, dims, triples, dup: BinaryOp | None = None,
           strict_dup=False) -> SparseMatrix:
     """Construct a sparse matrix from (rows, cols, vals) triples.
@@ -227,8 +253,7 @@ def build(sr: Semiring, dims, triples, dup: BinaryOp | None = None,
         if cols.min() < 0 or cols.max() >= ncols:
             raise IndexBoundsError(
                 f"column index outside [0, {ncols})")
-    vals = np.asarray(list(vals) if sr.domain.dtype is object else vals,
-                      dtype=sr.domain.dtype)
+    vals = _convert(vals, sr.domain)
     sr.domain.check_array(vals)
     return coalesce(nrows, ncols, rows, cols, vals,
                     dup or sr.add, sr.zero, sr.domain, strict_dup)

@@ -111,6 +111,8 @@ class TestMxmChunks:
         # rows 0, 3, 6 are empty and row 4 (12 products) is above the cap
         sr = get_semiring(name)
         monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 4)
+        # every block takes the sort path, which folds once per block
+        monkeypatch.setattr(kernels, "_dense", lambda slots, products: False)
         folds = []
         real_fold = kernels._fold
 
@@ -138,6 +140,116 @@ class TestMxmChunks:
         whole = gm.mxm(NAT, a, b)
         monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 3)
         assert gm.mxm(NAT, a, b) == whole
+
+
+class TestMxmAccumulator:
+    """The row-block accumulator path of mxm and its sort-and-fold
+    fallback."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        real = getattr(kernels, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_blocks_against_oracle(self, name, monkeypatch):
+        # a cap of 3 products makes many blocks, and rows with more than
+        # 3 products make blocks of their own above the cap
+        sr = get_semiring(name)
+        monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 3)
+        blocks = self._spy(monkeypatch, "_accumulate")
+        folds = self._spy(monkeypatch, "_fold")
+        rng = random.Random(41)
+        for _ in range(15):
+            a = random_matrix(sr, rng, 9, 8, density=0.5)
+            b = random_matrix(sr, rng, 8, 7, density=0.5)
+            per_row = [int(np.diff(b.indptr)[a.row(i)[0]].sum())
+                       for i in range(a.nrows)]
+            assert max(per_row) > 3
+            blocks.clear()
+            got = gm.mxm(sr, a, b)
+            assert len(blocks) >= sum(p > 0 for p in per_row) // 3
+            want = oracle.dense_mxm(sr, oracle.densify(a, sr.zero),
+                                    oracle.densify(b, sr.zero))
+            # both fold left to right in k order, so even arith-real is
+            # exact
+            assert_matches_dense(got, want, sr.zero)
+        assert folds == []
+
+    @pytest.mark.parametrize("cap", [3, 1 << 16])
+    def test_paths_bit_identical_on_mixed_magnitudes(self, cap, monkeypatch):
+        # about 25 products per entry of magnitudes 1e-8..1e8, where any
+        # other fold order rounds differently
+        monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", cap)
+        rng = np.random.default_rng(43)
+
+        def mixed(nrows, ncols):
+            vals = (rng.uniform(-1, 1, (nrows, ncols))
+                    * 10.0 ** rng.integers(-8, 9, (nrows, ncols)))
+            rows, cols = np.nonzero(rng.random((nrows, ncols)) < 0.7)
+            return gm.build(ARITH, (nrows, ncols),
+                            (rows, cols, vals[rows, cols]))
+
+        a, b = mixed(6, 50), mixed(50, 5)
+        dense = gm.mxm(ARITH, a, b)
+        monkeypatch.setattr(kernels, "_dense", lambda slots, products: False)
+        sorted_ = gm.mxm(ARITH, a, b)
+        assert np.array_equal(dense.indptr, sorted_.indptr)
+        assert np.array_equal(dense.indices, sorted_.indices)
+        assert dense.values.tobytes() == sorted_.values.tobytes()
+        want = oracle.dense_mxm(ARITH, oracle.densify(a, 0.0),
+                                oracle.densify(b, 0.0))
+        assert_matches_dense(dense, want, 0.0)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_int64_overflow_raises_on_both_paths(self, dense, monkeypatch):
+        monkeypatch.setattr(kernels, "_dense",
+                            lambda slots, products: dense)
+        sr = TestInt64Closed.INT
+
+        def m(dims, rows, cols, vals):
+            return gm.build(sr, dims, (rows, cols, vals))
+
+        with pytest.raises(DomainError):  # product
+            gm.mxm(sr, m((1, 1), [0], [0], [2**62]), m((1, 1), [0], [0], [4]))
+        row = m((2, 2), [0, 0, 1], [0, 1, 1], [2**62, 2**62, 3])
+        col = m((2, 1), [0, 1], [0, 0], [1, 1])
+        with pytest.raises(DomainError):  # sum
+            gm.mxm(sr, row, col)
+        row = m((1, 2), [0, 0], [0, 1], [2**62 - 1, 2**62])
+        got = gm.mxm(sr, row, col)
+        assert got.values.dtype == np.int64
+        assert got.values.tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_wide_result_takes_sort_path(self, name, monkeypatch):
+        # the same products on 2**40 columns: far more slots than
+        # products, so every block sorts and folds; column k of the narrow
+        # result is column wide[k] of the wide one
+        sr = get_semiring(name)
+        rng = random.Random(47)
+        wide = np.array(sorted(rng.sample(range(2**40), 7)), dtype=np.int64)
+        for _ in range(10):
+            a = random_matrix(sr, rng, 6, 8, density=0.5)
+            b = random_matrix(sr, rng, 8, 7, density=0.5)
+            b_wide = gm.build(sr, (8, 2**40), (b.row_arrays(),
+                                               wide[b.indices], b.values))
+            want = gm.mxm(sr, a, b)
+            blocks = self._spy(monkeypatch, "_accumulate")
+            got = gm.mxm(sr, a, b_wide)
+            monkeypatch.undo()
+            assert blocks == []
+            assert got.dims == (6, 2**40)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, wide[want.indices])
+            assert got.values.tolist() == want.values.tolist()
 
 
 class TestMxv:

@@ -6,6 +6,7 @@ import pytest
 
 import graphmat as gm
 from graphmat import oracle
+from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 from graphmat.matrix import check_no_stored_zero
 
@@ -58,6 +59,25 @@ class TestBuild:
                                      [10.0, 4.0, 3.0, 2.0]), dup=sub)
         assert a.get(0, 1) == 5.0  # (10 - 3) - 2
         assert a.get(1, 0) == 4.0
+
+    def test_float_duplicates_fold_left_to_right(self):
+        # (1e16 + 1) + 1 rounds to 1e16 twice; 1e16 + (1 + 1) does not
+        a = gm.build(ARITH, (1, 1), ([0, 0, 0], [0, 0, 0], [1e16, 1.0, 1.0]))
+        assert a.get(0, 0) == (1e16 + 1.0) + 1.0
+
+    def test_values_the_cast_would_change_raise_domain_error(self):
+        # out of range, wrapped or truncated by the cast to the dtype
+        sr = gm.make_semiring("int-arith", INTEGER, OP_PLUS, OP_TIMES, 0, 1)
+        xor = gm.semiring_by_name("xor-and")
+        for s, bad in ((sr, [2**63]), (sr, [-(2**63) - 1]),
+                       (sr, np.array([2**63], dtype=np.uint64)),
+                       (sr, np.array([1e19])), (sr, np.array([2.5])),
+                       (xor, np.array([256])), (xor, np.array([0.5]))):
+            with pytest.raises(DomainError):
+                gm.build(s, (1, 1), ([0], [0], bad))
+        top = gm.build(sr, (1, 1), ([0], [0], [2**63 - 1]))
+        assert top.values.tolist() == [2**63 - 1]
+        assert gm.build(sr, (1, 1), ([0], [0], np.array([3.0]))).get(0, 0) == 3
 
     def test_folded_duplicates_stay_in_natural_domain(self):
         nat = gm.semiring_by_name("arith-natural")
