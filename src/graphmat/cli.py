@@ -28,13 +28,11 @@ def _semiring_from_args(args):
 def _load_matrix(path, args, sr):
     if args.format == "mm" or path.endswith((".mtx", ".mm")):
         return fileio.read_matrix_market(path, sr)
-    edges = fileio.read_edge_list(path, one_based=args.one_based,
-                                  value_parser=sr.domain.parse_text)
-    n = fileio.vertex_count_from_edges(edges) if edges else 1
+    rows, cols, vals, n = fileio.read_triples(
+        path, args.one_based, sr.domain.parse_text, sr.one)
     if args.vertices:
         n = max(n, args.vertices)
-    triples = fileio.triples_from_edges(edges, sr.one)
-    return build(sr, (n, n), triples)
+    return build(sr, (n, n), (rows, cols, vals))
 
 
 def _emit(a, args, label=""):

@@ -2,12 +2,17 @@
 
 TSV edge lists are 0-based by default (a flag shifts them); Matrix
 Market coordinate files are 1-based on disk, as the format requires.
-All parse errors carry file and line context.
+Files are UTF-8 text. Plain numeric files are parsed a column at a
+time; any other goes through the line parser, whose errors carry file
+and line context.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import Semiring
 from .errors import FormatError, IndexBoundsError
@@ -27,6 +32,36 @@ class EdgeRecord:
     @property
     def is_hyper(self):
         return len(self.out_vertices) + len(self.in_vertices) > 2
+
+
+@contextmanager
+def _text(path):
+    """`path` open as UTF-8 text; FormatError if it is not."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason})", path) from None
+
+
+def _plain_columns(text, sep, widths, shift):
+    """(rows, cols, fields, width) of a text whose every line holds the
+    same number (one of `widths`) of `sep`-separated fields, the first
+    two of them integers: rows and cols less `shift` as int64 arrays,
+    converted by numpy with int(). ValueError, or OverflowError for an
+    integer beyond int64, on any other text."""
+    body = text.rstrip("\n")  # blank lines at the end are skipped
+    buf = np.frombuffer(body.encode(), dtype=np.uint8)
+    marks = buf == ord(sep)
+    per_line = np.diff(np.cumsum(marks)[buf == ord("\n")], prepend=0,
+                       append=np.count_nonzero(marks))
+    width = int(per_line[0]) + 1
+    if width not in widths or (per_line != per_line[0]).any():
+        raise ValueError("lines of another or unequal width")
+    fields = body.replace("\n", sep).split(sep)
+    rows, cols = (np.array(fields[k::width], dtype=np.int64) - shift
+                  for k in (0, 1))
+    return rows, cols, fields, width
 
 
 def _parse_vertex_group(text, path, lineno, shift):
@@ -70,7 +105,7 @@ def read_edge_list(path, one_based=False, value_parser=None):
     value_parser = value_parser or _default_value_parser
     shift = 1 if one_based else 0
     records = []
-    with open(path) as fh:
+    with _text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -91,6 +126,31 @@ def read_edge_list(path, one_based=False, value_parser=None):
                 weight = _parse_weight(parts[2], path, lineno, value_parser)
             records.append(EdgeRecord(outs, ins, weight, line=lineno))
     return records
+
+
+def read_triples(path, one_based=False, value_parser=None, default=1):
+    """(rows, cols, vals, n) of a TSV edge list, as read_edge_list,
+    triples_from_edges(edges, default) and vertex_count_from_edges give
+    them, errors included. Plain lines of equal width are parsed a
+    column at a time, rows and cols as int64 arrays; any other file
+    goes through read_edge_list."""
+    parse = value_parser or _default_value_parser
+    with _text(path) as fh:
+        text = fh.read()
+    try:
+        if "out=" in text:
+            raise ValueError("labeled line")
+        rows, cols, fields, width = _plain_columns(text, "\t", (2, 3),
+                                                   1 if one_based else 0)
+        if (rows < 0).any() or (cols < 0).any():
+            raise ValueError("negative vertex index")
+        vals = (list(map(parse, fields[2::3])) if width == 3
+                else [default] * len(rows))
+        return rows, cols, vals, int(max(rows.max(), cols.max())) + 1
+    except (ValueError, TypeError, OverflowError):
+        edges = read_edge_list(path, one_based, value_parser)
+        return (*triples_from_edges(edges, default),
+                vertex_count_from_edges(edges))
 
 
 def _parse_labeled(line, path, lineno, shift, value_parser):
@@ -179,6 +239,27 @@ def vertex_count_from_edges(edges):
 # Matrix Market coordinate format
 
 
+_WRITE_CHUNK = 1 << 16  # entries formatted at once; bounds the lists
+
+
+def _write_entries(fh, a: SparseMatrix, sep, shift, values=True):
+    """One line per stored entry: row and column plus `shift`, then
+    (with `values`) the value as its domain renders it, joined by
+    `sep`. Whole columns are formatted a chunk at a time."""
+    tri = extract_tuples(a)
+    for lo in range(0, len(tri), _WRITE_CHUNK):
+        part = slice(lo, lo + _WRITE_CHUNK)
+        rows = (tri.rows[part] + shift).tolist()
+        cols = (tri.cols[part] + shift).tolist()
+        if values:
+            vals = map(a.domain.render, tri.vals[part].tolist())
+            lines = [f"{r}{sep}{c}{sep}{v}\n"
+                     for r, c, v in zip(rows, cols, vals)]
+        else:
+            lines = [f"{r}{sep}{c}\n" for r, c in zip(rows, cols)]
+        fh.write("".join(lines))
+
+
 def write_matrix_market(path, a: SparseMatrix):
     """Write a sparse matrix as a coordinate-format Matrix Market file.
 
@@ -187,30 +268,25 @@ def write_matrix_market(path, a: SparseMatrix):
     boolean matrices write `pattern` (structure only).
     """
     field = "pattern" if a.domain.name == "bool" else a.domain.mm_field
-    tri = extract_tuples(a)
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate {field} general\n")
         fh.write(f"% {a.domain.name} domain, written by graphmat\n")
         fh.write(f"{a.nrows} {a.ncols} {a.nnz}\n")
-        for r, c, v in tri:
-            if field == "pattern":
-                fh.write(f"{r + 1} {c + 1}\n")
-            else:
-                fh.write(f"{r + 1} {c + 1} {a.domain.render(v)}\n")
+        _write_entries(fh, a, " ", 1, values=field != "pattern")
 
 
 def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
     """Read a coordinate-format Matrix Market file into a matrix over
-    the given semiring's domain."""
-    with open(path) as fh:
+    the given semiring's domain. Banner keywords are case-insensitive."""
+    with _text(path) as fh:
         header = fh.readline()
         lineno = 1
         parts = header.strip().split()
         if (len(parts) != 5 or parts[0] != "%%MatrixMarket"
-                or parts[1] != "matrix"):
+                or parts[1].lower() != "matrix"):
             raise FormatError("not a Matrix Market matrix header",
                               path, lineno)
-        _, _, layout, field, symmetry = parts
+        layout, field, symmetry = (p.lower() for p in parts[2:])
         if layout != "coordinate":
             raise FormatError(f"unsupported layout {layout!r} "
                               "(only coordinate)", path, lineno)
@@ -233,13 +309,23 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
         except ValueError:
             raise FormatError(f"bad size line {size_line.strip()!r}",
                               path, lineno)
+        body = fh.read()
+    expected = 2 if field == "pattern" else 3
+    try:
+        # fields split on single spaces: one that int() or parse_text
+        # accepts is a token of the line's split() padded with whitespace
+        # they strip, so both parsers read the same entries
+        rows, cols, fields, _ = _plain_columns(body, " ", (expected,), 1)
+        if not ((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)).all():
+            raise ValueError("entry outside declared bounds")
+        vals = (list(map(sr.domain.parse_text, fields[2::3]))
+                if expected == 3 else [sr.one] * len(rows))
+    except (ValueError, OverflowError):
         rows, cols, vals = [], [], []
-        for raw in fh:
-            lineno += 1
+        for lineno, raw in enumerate(body.split("\n"), start=lineno + 1):
             if raw.startswith("%") or not raw.strip():
                 continue
             toks = raw.split()
-            expected = 2 if field == "pattern" else 3
             if len(toks) != expected:
                 raise FormatError(
                     f"expected {expected} fields, got {len(toks)}",
@@ -271,7 +357,5 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
 
 def write_edge_list(path, a: SparseMatrix, one_based=False):
     """Emit a matrix's stored entries as a plain TSV edge list."""
-    shift = 1 if one_based else 0
     with open(path, "w") as fh:
-        for r, c, v in extract_tuples(a):
-            fh.write(f"{r + shift}\t{c + shift}\t{a.domain.render(v)}\n")
+        _write_entries(fh, a, "\t", 1 if one_based else 0)

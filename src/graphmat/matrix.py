@@ -200,9 +200,7 @@ def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals)
-    if vals.dtype != domain.dtype:
-        vals = vals.astype(domain.dtype)
+    vals = _convert(vals, domain)
     order = _order(rows, cols, nrows, ncols)
     rows, cols, vals = _fold(rows[order], cols[order], vals[order],
                              dup, zero, domain, strict_dup)
@@ -213,7 +211,7 @@ def _convert(vals, domain: Domain):
     """`vals` in `domain`'s dtype; DomainError for any value the cast
     would change (wrapped, truncated or out of range)."""
     if domain.dtype is object:
-        return np.asarray(list(vals), dtype=object)
+        return np.asarray(vals, dtype=object)
     raw = np.asarray(vals)
     try:
         with np.errstate(invalid="ignore"):
@@ -240,8 +238,11 @@ def build(sr: Semiring, dims, triples, dup: BinaryOp | None = None,
         rows, cols, vals = triples.rows, triples.cols, triples.vals
     else:
         rows, cols, vals = triples
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    try:
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+    except OverflowError:  # Python ints beyond int64
+        raise IndexBoundsError("index outside the int64 range") from None
     if not (len(rows) == len(cols) == len(vals)):
         raise GraphMatError(
             f"triple vectors disagree in length: "

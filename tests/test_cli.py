@@ -28,6 +28,18 @@ class TestBuild:
         assert main(["build", str(p)]) == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bin.tsv"
+        p.write_bytes(b"\x80\x81\xff")
+        assert main(["build", str(p)]) == 2
+        assert f"{p}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_vertex_index_beyond_int64_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "big.tsv"
+        p.write_text("0\t99999999999999999999\t1\n")
+        assert main(["build", str(p)]) == 2
+        assert "int64" in capsys.readouterr().err
+
     def test_build_writes_matrix_market(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         assert main(["build", EDGES, "--output", str(out)]) == 0

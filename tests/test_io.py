@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphmat as gm
 from graphmat import fileio
@@ -205,3 +208,297 @@ class TestWriteEdgeList:
         edges = fileio.read_edge_list(p, value_parser=float)
         b = gm.build(ARITH, (6, 6), fileio.triples_from_edges(edges, 1.0))
         assert b == a
+
+
+def reference_triples(path, one_based=False, value_parser=None, default=1):
+    """read_triples by way of the line parser, as the CLI did before."""
+    edges = fileio.read_edge_list(path, one_based, value_parser)
+    return (*fileio.triples_from_edges(edges, default),
+            fileio.vertex_count_from_edges(edges))
+
+
+def outcome(fn, *args):
+    """What a reader returns, as lists of ints and of value reprs (so a
+    NaN equals itself), or the type and message of what it raises."""
+    try:
+        rows, cols, vals, *n = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([int(r) for r in rows], [int(c) for c in cols],
+            [repr(v) for v in vals], n)
+
+
+NATURAL = gm.semiring_by_name("arith-natural")
+VERTEX = st.integers(0, 40).map(str)
+# int() and float() accept these forms too, and strip the spaces
+ODD_VERTEX = st.sampled_from([" 7", "8 ", "+3", "0_1", "٤", "09"])
+REAL_VALUE = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+NATURAL_VALUE = st.integers(0, 2**64 - 1).map(str)
+BAD_LINE = st.sampled_from([
+    "", "   ", "# comment", "e5: out=1 in=2,3 w=2", "1,2\t3\t4", "1\t2,5",
+    "-1\t2\t1", "0\t1\tx", "0\t1\t2\t3", "0", "a\tb", "0\t1\t",
+    "0\t99999999999999999999\t1", "0 1 1", "\t1\t1", "0\t1\tnan"])
+
+
+@st.composite
+def tsv_lines(draw, value, bad=False):
+    width = draw(st.sampled_from([2, 3]))
+    vertex = st.one_of(VERTEX, ODD_VERTEX)
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        fields = [draw(vertex), draw(vertex)]
+        if width == 3:
+            fields.append(draw(value))
+        lines.append("\t".join(fields))
+    if bad:
+        k = draw(st.integers(0, len(lines)))
+        lines.insert(k, draw(BAD_LINE))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestReadTriples:
+    @pytest.mark.parametrize("bad", [False, True])
+    @pytest.mark.parametrize("sr,value", [(ARITH, REAL_VALUE),
+                                          (NATURAL, NATURAL_VALUE)])
+    def test_matches_line_parser(self, sr, value, bad, tmp_path):
+        p = tmp_path / "e.tsv"
+
+        @settings(max_examples=150, deadline=None)
+        @given(text=tsv_lines(value, bad), one_based=st.booleans())
+        def check(text, one_based):
+            p.write_text(text)
+            args = (p, one_based, sr.domain.parse_text, sr.one)
+            assert outcome(fileio.read_triples, *args) == \
+                outcome(reference_triples, *args)
+
+        check()
+
+    def test_plain_file_takes_no_line_parser(self, tmp_path, monkeypatch):
+        p = tmp_path / "e.tsv"
+        p.write_text("0\t1\t2.5\n3\t0\t1e3\n")
+        monkeypatch.setattr(fileio, "read_edge_list", None)
+        rows, cols, vals, n = fileio.read_triples(p, value_parser=float)
+        assert rows.dtype == cols.dtype == np.int64
+        assert (rows.tolist(), cols.tolist(), vals, n) == \
+            ([0, 3], [1, 0], [2.5, 1000.0], 4)
+
+    def test_labeled_line_the_value_parser_would_accept(self, tmp_path):
+        p = tmp_path / "e.tsv"
+        p.write_text("0\t1\tout=2\n")
+        for read in (fileio.read_edge_list, fileio.read_triples):
+            with pytest.raises(FormatError) as err:
+                read(p, value_parser=str)
+            assert str(err.value) == f"{p}:1: bad token '0' in labeled edge"
+
+    def test_default_value_and_empty_file(self, tmp_path):
+        p = tmp_path / "e.tsv"
+        p.write_text("2\t0\n")
+        rows, cols, vals, n = fileio.read_triples(p, default=7)
+        assert (list(rows), list(cols), vals, n) == ([2], [0], [7], 3)
+        p.write_text("")
+        assert fileio.read_triples(p) == ([], [], [], 1)
+
+
+LONG = "".join(f"{k}\t{k + 1}\t1.5\n" for k in range(2000))
+HEAD = "%%MatrixMarket matrix coordinate real general\n"
+BODY = "".join(f"{k % 9 + 1} {k % 7 + 1} 2.5\n" for k in range(2000))
+
+
+class TestMalformedMessages:
+    """Each error names the path and line it did before, from both TSV
+    readers and from either Matrix Market path, also after many good
+    lines."""
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("0\t1\nnot-a-line\n", 2,
+         "expected 2 or 3 tab-separated fields, got 1"),
+        ("-1\t2\n", 1, "negative vertex index -1"),
+        ("0\t1\theavy\n", 1, "non-numeric weight 'heavy'"),
+        ("0\t1\n0\tx\n", 2, "bad vertex index 'x'"),
+        (LONG + "5\t6\t7\t8\n", 2001,
+         "expected 2 or 3 tab-separated fields, got 4"),
+        (LONG + "5\t6\tabc\n", 2001, "non-numeric weight 'abc'"),
+        (LONG + "e1: out=2 in=\n", 2001, "bad vertex index ''"),
+    ])
+    def test_tsv(self, tmp_path, text, line, message):
+        p = tmp_path / "e.tsv"
+        p.write_text(text)
+        expected = f"{p}:{line}: {message}"
+        for read in (lambda: fileio.read_edge_list(p, value_parser=float),
+                     lambda: fileio.read_triples(p, value_parser=float)):
+            with pytest.raises(FormatError) as err:
+                read()
+            assert str(err.value) == expected
+
+    @pytest.mark.parametrize("text,line,message", [
+        (HEAD + "2 2 3\n1 1 1.0\n2 2 1.0\n", None,
+         "file declares 3 entries but contains 2"),
+        ("%%MatrixMarket matrix array real general\n2 2\n", 1,
+         "unsupported layout 'array' (only coordinate)"),
+        ("%%MatrixMarket matrix coordinate complex general\n1 1 1\n", 1,
+         "unsupported field 'complex'"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n", 1,
+         "unsupported symmetry 'symmetric' (only general)"),
+        ("%%MatrixMarket vector coordinate real general\n", 1,
+         "not a Matrix Market matrix header"),
+        (HEAD + "% only a comment\n", 2, "missing size line"),
+        (HEAD + "2 2 x\n", 2, "bad size line '2 2 x'"),
+        (HEAD + "2 2 2\n1 1\n2 2\n", 3, "expected 3 fields, got 2"),
+        ("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n"
+         "1 1 1\n", 3, "expected 2 fields, got 3"),
+        (HEAD + "2 2 1\n3 1 1.0\n", 3,
+         "entry (3, 1) outside declared 2 x 2 bounds"),
+        (HEAD + "9 9 2001\n" + BODY + "1 x 1.0\n", 2003,
+         "bad index in '1 x 1.0'"),
+        (HEAD + "9 9 2001\n" + BODY + "1 2 y\n", 2003, "bad value 'y'"),
+        (HEAD + "9 9 2001\n" + BODY + "1 2\n", 2003,
+         "expected 3 fields, got 2"),
+        (HEAD + "9 9 2001\n" + BODY + "10 1 1.0\n", 2003,
+         "entry (10, 1) outside declared 9 x 9 bounds"),
+        (HEAD + "9 9 2001\n" + BODY, None,
+         "file declares 2001 entries but contains 2000"),
+    ])
+    def test_matrix_market(self, tmp_path, text, line, message):
+        p = tmp_path / "m.mtx"
+        p.write_text(text)
+        with pytest.raises(FormatError) as err:
+            fileio.read_matrix_market(p, ARITH)
+        where = f"{p}:{line}" if line else f"{p}"
+        assert str(err.value) == f"{where}: {message}"
+
+
+MM_SEP = st.sampled_from([" ", " ", " ", "  ", "\t", " \x0c", "\xa0"])
+
+
+@st.composite
+def mm_text(draw):
+    """A Matrix Market real file of plain entry lines, or one whose lines
+    vary in spacing and may hold comments, blanks and malformed lines."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    odd = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        if odd and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(
+                ["", "  ", "% note", "1 1", "1 1 1 1", "0 1 2", "1 1 z",
+                 "%1 1 1", " 1 1 1", "1 1 1 ", "1_0 1 1", "+1 1 -2.5e1"])))
+        else:
+            fields = [str(draw(st.integers(1, m))),
+                      str(draw(st.integers(1, n))),
+                      repr(draw(st.floats(-9, 9, allow_nan=False)))]
+            seps = [draw(MM_SEP) if odd else " " for _ in range(2)]
+            lines.append(fields[0] + seps[0] + fields[1] + seps[1] + fields[2])
+    count = sum(1 for ln in lines if ln.strip() and not ln.startswith("%"))
+    count += draw(st.sampled_from([0, 0, 0, 1]))
+    return (HEAD + f"{m} {n} {count}\n"
+            + "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"])))
+
+
+def give_up(*args):
+    raise ValueError("bulk parse disabled")
+
+
+def read_outcome(path, sr):
+    try:
+        return fileio.read_matrix_market(path, sr)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestMatrixMarketBulk:
+    def test_matches_line_parser(self, tmp_path):
+        p = tmp_path / "m.mtx"
+
+        @settings(max_examples=300, deadline=None)
+        @given(text=mm_text())
+        def check(text):
+            p.write_text(text)
+            bulk = read_outcome(p, ARITH)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fileio, "_plain_columns", give_up)
+                assert read_outcome(p, ARITH) == bulk
+
+        check()
+
+    @pytest.mark.parametrize("name", ["arith-real", "arith-natural",
+                                      "xor-and", "union-intersect"])
+    def test_roundtrip_through_bulk_paths(self, name, tmp_path, monkeypatch):
+        sr = get_semiring(name)
+        rng = random.Random(sum(map(ord, name)) + 5)
+        bulk = fileio._plain_columns
+
+        def must_fit(*args):
+            try:
+                return bulk(*args)
+            except (ValueError, OverflowError) as exc:
+                raise AssertionError(f"bulk parse gave up: {exc}")
+
+        monkeypatch.setattr(fileio, "_plain_columns", must_fit)
+        monkeypatch.setattr(fileio, "_WRITE_CHUNK", 3)
+        for k in range(10):
+            m, n = rng.randint(1, 10), rng.randint(1, 10)
+            a = random_matrix(sr, rng, m, n)
+            if a.nnz == 0:
+                continue
+            mm = tmp_path / f"m{k}.mtx"
+            fileio.write_matrix_market(mm, a)
+            assert fileio.read_matrix_market(mm, sr) == a
+            tsv = tmp_path / f"e{k}.tsv"
+            fileio.write_edge_list(tsv, a, one_based=True)
+            rows, cols, vals, top = fileio.read_triples(
+                tsv, True, sr.domain.parse_text, sr.one)
+            assert top <= max(m, n)
+            assert gm.build(sr, (m, n), (rows, cols, vals)) == a
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", ["arith-real", "arith-natural",
+                                      "xor-and", "union-intersect"])
+    @pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
+    def test_bytes_match_entry_by_entry_format(self, name, chunk, tmp_path,
+                                               monkeypatch):
+        sr = get_semiring(name)
+        a = random_matrix(sr, random.Random(chunk), 9, 7, density=0.5)
+        monkeypatch.setattr(fileio, "_WRITE_CHUNK", chunk)
+        tri = list(gm.extract_tuples(a))
+        render = a.domain.render
+        fileio.write_edge_list(tmp_path / "e.tsv", a, one_based=True)
+        assert (tmp_path / "e.tsv").read_text() == "".join(
+            f"{r + 1}\t{c + 1}\t{render(v)}\n" for r, c, v in tri)
+        fileio.write_matrix_market(tmp_path / "m.mtx", a)
+        body = (tmp_path / "m.mtx").read_text().split("\n", 3)[3]
+        if name == "xor-and":
+            assert body == "".join(f"{r + 1} {c + 1}\n" for r, c, _ in tri)
+        else:
+            assert body == "".join(
+                f"{r + 1} {c + 1} {render(v)}\n" for r, c, v in tri)
+
+
+class TestInputErrors:
+    def test_non_utf8_raises_format_error_naming_path(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(b"0\t1\n\x80\x81\xff\n")
+        for read in (lambda: fileio.read_edge_list(p),
+                     lambda: fileio.read_triples(p),
+                     lambda: fileio.read_matrix_market(p, ARITH)):
+            with pytest.raises(FormatError) as err:
+                read()
+            assert str(err.value).startswith(f"{p}: not UTF-8 text")
+        mm = tmp_path / "bad.mtx"
+        mm.write_bytes(HEAD.encode()
+                       + b"1 1 1\n1 1 \xff\n")
+        with pytest.raises(FormatError):
+            fileio.read_matrix_market(mm, ARITH)
+
+    @pytest.mark.parametrize("banner", [
+        "%%MatrixMarket matrix coordinate Real General",
+        "%%MatrixMarket MATRIX COORDINATE REAL GENERAL",
+        "%%MatrixMarket Matrix Coordinate Pattern general",
+    ])
+    def test_banner_keywords_any_case(self, banner, tmp_path):
+        p = tmp_path / "m.mtx"
+        entry = "2 1" if "Pattern" in banner else "2 1 2.5"
+        p.write_text(f"{banner}\n2 2 1\n{entry}\n")
+        a = fileio.read_matrix_market(p, ARITH)
+        assert a.get(1, 0) == (1.0 if "Pattern" in banner else 2.5)
+        assert a.nnz == 1

@@ -8,7 +8,7 @@ import graphmat as gm
 from graphmat import oracle
 from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
-from graphmat.matrix import check_no_stored_zero
+from graphmat.matrix import check_no_stored_zero, coalesce
 
 from conftest import (
     NAMED_SEMIRINGS,
@@ -42,6 +42,13 @@ class TestBuild:
             gm.build(ARITH, (2, 2), ([0, 2], [0, 0], [1.0, 1.0]))
         with pytest.raises(IndexBoundsError):
             gm.build(ARITH, (2, 2), ([0], [-1], [1.0]))
+
+    def test_index_beyond_int64_raises_index_bounds_error(self):
+        for rows, cols in (([0], [10**20]), ([2**63], [0]),
+                           ([0], [-(2**63) - 1])):
+            with pytest.raises(IndexBoundsError):
+                gm.build(ARITH, (10**20 + 1, 10**20 + 1),
+                         (rows, cols, [1.0]))
 
     def test_length_mismatch(self):
         with pytest.raises(GraphMatError):
@@ -107,6 +114,17 @@ class TestBuild:
             rel = 1e-12 if name == "arith-real" else 0.0
             assert_matches_dense(a, d, sr.zero, rel_tol=rel)
             assert a.nnz <= k
+
+
+class TestCoalesce:
+    def test_values_the_cast_would_change_raise_domain_error(self):
+        for bad in ([2**63], np.array([2**63], dtype=np.uint64),
+                    np.array([2.5])):
+            with pytest.raises(DomainError):
+                coalesce(1, 1, [0], [0], bad, OP_PLUS, 0, INTEGER)
+        kept = coalesce(1, 1, [0, 0], [0, 0], [2**62, 2**62 - 1], OP_PLUS,
+                        0, INTEGER)
+        assert kept.values.tolist() == [2**63 - 1]
 
 
 class TestExtractTuples:
