@@ -40,6 +40,9 @@ class BenchReport:
     trials: int
     mean_api_us: float
     mean_direct_us: float
+    # lowest and highest overhead of a single trial, in percent: when
+    # they straddle overhead_percent widely, the trials are noise
+    overhead_spread: tuple[float, float]
 
     @property
     def overhead_percent(self) -> float:
@@ -139,6 +142,8 @@ def run_bench(operation, scales, edge_factor=DEFAULT_EDGE_FACTOR,
             t2 = time.perf_counter()
             api_times.append((t1 - t0) * 1e6)
             direct_times.append((t2 - t1) * 1e6)
+        per_trial = [100.0 * (x - y) / y
+                     for x, y in zip(api_times, direct_times)]
         reports.append(BenchReport(
             operation=operation,
             semiring=semiring_name,
@@ -148,6 +153,7 @@ def run_bench(operation, scales, edge_factor=DEFAULT_EDGE_FACTOR,
             trials=trials,
             mean_api_us=statistics.fmean(api_times),
             mean_direct_us=statistics.fmean(direct_times),
+            overhead_spread=(min(per_trial), max(per_trial)),
         ))
     return reports
 

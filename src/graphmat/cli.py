@@ -164,11 +164,12 @@ def cmd_bench(args):
         args.op, scales, edge_factor=args.edge_factor,
         semiring_name=args.semiring, trials=args.trials, seed=args.seed)
     print(f"{'op':<12}{'scale':>6}{'edges':>10}{'api_us':>14}"
-          f"{'direct_us':>14}{'overhead%':>11}")
+          f"{'direct_us':>14}{'overhead%':>11}  per-trial min..max%")
     for r in reports:
+        lo, hi = r.overhead_spread
         print(f"{r.operation:<12}{r.scale:>6}{r.edges:>10}"
               f"{r.mean_api_us:>14.1f}{r.mean_direct_us:>14.1f}"
-              f"{r.overhead_percent:>11.2f}")
+              f"{r.overhead_percent:>11.2f}  {lo:.2f}..{hi:.2f}")
     print("# op,scale,edges,mean_api_us,mean_direct_us,overhead_pct")
     for r in reports:
         print(r.machine_line())

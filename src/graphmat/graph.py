@@ -3,7 +3,8 @@
 Adjacency rows are out-vertices: A(i, j) stored means an edge i -> j.
 Frontier expansion is therefore the row-vector product f A (`vxm`),
 which reads only the out-edges of the frontier and lands on the
-in-vertices.
+in-vertices, or, for a BFS hop with a large frontier, the same product
+pulled as A^T f (`mxv`) over the in-edges of the unvisited vertices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .algebra import BOOL, OP_MIN, REAL, BinaryOp, Semiring, semiring_by_name
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .kernels import ewise_add, ewise_mult, mxm, vxm
+from .kernels import _positions, ewise_add, ewise_mult, mxm, mxv, vxm
 from .matrix import SparseMatrix, transpose
 
 _GF2_SR = semiring_by_name("xor-and")
@@ -27,6 +28,17 @@ _ARITH = semiring_by_name("arith-real")
 _FIRST = BinaryOp("first", lambda x, y: x, lambda x, y: x,
                   commutative=False)
 _MIN_FIRST = Semiring("min-first", REAL, OP_MIN, _FIRST, math.inf, None)
+# the same for a pull, where the frontier is the right operand
+_SECOND = BinaryOp("second", lambda x, y: y, lambda x, y: y,
+                   commutative=False)
+_MIN_SECOND = Semiring("min-second", REAL, OP_MIN, _SECOND, math.inf, None)
+# a BFS hop pulls once the frontier's out-edges, what a push reads,
+# exceed 1/_PULL_ALPHA of what a pull reads: the unvisited vertices'
+# in-edges, plus n for its passes over bitmaps, plus _PULL_CALLS for
+# its fixed numpy calls (about 150 us at 15-25 ns a read, timed at
+# scale 13); a push product and a pull read cost about the same
+_PULL_ALPHA = 1
+_PULL_CALLS = 1 << 13
 
 
 @dataclass
@@ -118,16 +130,31 @@ def _pattern(a, domain):
                         _ones(domain, a.nnz), domain)
 
 
+def _col(n, idx, vals, domain):
+    """n x 1 column vector storing `vals` at the sorted positions `idx`."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[idx + 1] = 1
+    return SparseMatrix(n, 1, indptr.cumsum(),
+                        np.zeros(len(idx), dtype=np.int64), vals, domain)
+
+
 def bfs_levels(a: SparseMatrix, sources, max_hops=None,
                with_parents=True, gf2=False) -> BfsResult:
-    """Multi-source BFS by repeated frontier expansion f <- f A, masked
-    by the complement of the visited set.
+    """Multi-source BFS, one masked product per hop over the complement
+    of a visited bitmap (direction-optimizing: Beamer, Asanovic &
+    Patterson, SC'12).
 
+    A hop pushes, f <- f A with `vxm` over the frontier's out-edges,
+    while those number at most 1/_PULL_ALPHA of what a pull would read;
+    otherwise it pulls, f <- A^T f with `mxv` over the in-edges of the
+    unvisited vertices only. A pull reads A's cached
+    transpose, built on the first pull (A itself when A is symmetric).
     Each frontier entry carries its own vertex id through a (min, first)
-    product, so every reached vertex gets its smallest-id predecessor one
-    level up as parent from the hop that reaches it. gf2=True decides
-    reachability with xor-and instead, where even edge multiplicities
-    cancel; parents then take a second product per hop.
+    push or (min, second) pull, so every reached vertex gets its
+    smallest-id predecessor one level up as parent from the hop that
+    reaches it, in either direction. gf2=True decides reachability with
+    xor-and instead, where even edge multiplicities cancel; parents then
+    take a second product per hop, masked by the vertices reached.
     """
     if a.nrows != a.ncols:
         raise DimensionError("BFS needs a square adjacency matrix",
@@ -140,34 +167,60 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
             raise IndexBoundsError(f"source {s} outside [0, {n})")
     if max_hops is None:
         max_hops = n
-    ids, bits = _pattern(a, REAL), _pattern(a, BOOL)
     level = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     frontier = np.unique(np.asarray(sources, dtype=np.int64))
     level[frontier] = 0
-    visited = frontier
+    visited = np.zeros(n, dtype=bool)
+    visited[frontier] = True
+    out_deg = np.diff(a.indptr)
+    # in-degrees, estimated by the out-degrees until A^T is cached
+    at = a._transposed(build=False)
+    in_deg = out_deg if at is None else np.diff(at.indptr)
+    unvisited_edges = int(in_deg.sum() - in_deg[frontier].sum())
+    push = (_pattern(a, REAL), _pattern(a, BOOL))
+    pull = None
     hop = 0
     while len(frontier) and hop < max_hops:
         hop += 1
-        seen = _row(n, visited, _ones(BOOL, len(visited)), BOOL)
-        ids_f = _row(n, frontier, frontier.astype(np.float64), REAL)
-        if gf2:  # reached: an odd number of frontier edges lead in
-            bits_f = _row(n, frontier, _ones(BOOL, len(frontier)), BOOL)
-            odd = vxm(_GF2_SR, bits_f, bits, mask=seen, complement=True)
-            up = vxm(_MIN_FIRST, ids_f, ids, mask=odd)
+        pull_reads = unvisited_edges + n + _PULL_CALLS
+        if _PULL_ALPHA * int(out_deg[frontier].sum()) <= pull_reads:
+            ids_a, bits_a = push
+            vec, product, by_id = _row, vxm, _MIN_FIRST
         else:
-            up = vxm(_MIN_FIRST, ids_f, ids, mask=seen, complement=True)
-        frontier = up.indices
+            if pull is None:
+                at = a._transposed()
+                pull = (_pattern(at, REAL), _pattern(at, BOOL))
+                in_deg = np.diff(at.indptr)
+                unvisited_edges = int(in_deg[~visited].sum())
+            ids_a, bits_a = pull
+            vec, product, by_id = _col, _pull, _MIN_SECOND
+        ids_f = vec(n, frontier, frontier.astype(np.float64), REAL)
+        if gf2:  # reached: an odd number of frontier edges lead in
+            bits_f = vec(n, frontier, _ones(BOOL, len(frontier)), BOOL)
+            odd = product(_GF2_SR, bits_f, bits_a, mask=visited,
+                          complement=True)
+            up = product(by_id, ids_f, ids_a, mask=odd)
+        else:
+            up = product(by_id, ids_f, ids_a, mask=visited, complement=True)
+        frontier = _positions(up)
+        visited[frontier] = True
+        unvisited_edges -= int(in_deg[frontier].sum())
         level[frontier] = hop
         parent[frontier] = up.values.astype(np.int64)
-        visited = np.insert(visited, np.searchsorted(visited, frontier),
-                            frontier)
     return BfsResult(levels=_unset_to_none(level),
                      parents=_unset_to_none(parent) if with_parents else None)
 
 
+def _pull(sr, f, at, mask=None, complement=False):
+    """f A as (A^T f)^T, read over the rows of A^T that the mask keeps."""
+    return mxv(sr, at, f, mask=mask, complement=complement)
+
+
 def _unset_to_none(arr):
-    return [None if x < 0 else x for x in arr.tolist()]
+    out = arr.astype(object)
+    out[arr < 0] = None
+    return out.tolist()
 
 
 def sssp_minplus(a: SparseMatrix, source) -> list:

@@ -22,9 +22,10 @@ from .matrix import (SparseMatrix, _csr, _fold, _narrow, _order, _wide,
 # without affecting results, and blocks this small keep their 512 KiB
 # temporaries and accumulator in cache
 _MXM_CHUNK_PRODUCTS = 1 << 16
-# products per vxm chunk: a chunk's 8-byte temporaries stay at 64 KiB,
-# below the C allocator's default mmap threshold, so every chunk and hop
-# reuses the same heap memory instead of faulting in fresh pages
+# products per vxm chunk, entries read per mxv chunk: a chunk's 8-byte
+# temporaries stay at 64 KiB, below the C allocator's default mmap
+# threshold, so every chunk and hop reuses the same heap memory instead
+# of faulting in fresh pages
 _VXM_CHUNK_PRODUCTS = 1 << 13
 # a product folds into one slot per output position unless the slots
 # outnumber both this and four times the products
@@ -152,8 +153,67 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     return _csr(a.nrows, b.ncols, rows, cols, vals, sr.domain)
 
 
-def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
-    """Matrix times column vector; v must be n x 1."""
+def _check_mask(mask, nrows, ncols):
+    """A mask is a structural nrows x ncols matrix or a bool bitmap with
+    one entry per result position."""
+    if isinstance(mask, SparseMatrix):
+        if mask.dims != (nrows, ncols):
+            raise DimensionError("mask shape does not match the result",
+                                 expected=f"{nrows}x{ncols}",
+                                 actual=f"{mask.nrows}x{mask.ncols}")
+    elif mask is not None and not (isinstance(mask, np.ndarray)
+                                   and mask.dtype == bool
+                                   and mask.shape == (nrows * ncols,)):
+        raise DimensionError(
+            "a bitmap mask must be a bool array of the result's length",
+            expected=f"bool array of shape ({nrows * ncols},)",
+            actual=f"{getattr(mask, 'dtype', type(mask).__name__)} array "
+                   f"of shape {np.shape(mask)}")
+
+
+def _positions(v):
+    """The positions a 1 x n or n x 1 vector stores, ascending."""
+    return v.indices if v.nrows == 1 else np.flatnonzero(np.diff(v.indptr))
+
+
+def _keep(mask, complement, n):
+    """The per-slot `keep` of `_accumulate` for a result of n positions:
+    the positions the mask stores (a structural vector) or sets (a
+    bitmap), or with complement=True those it does not."""
+    if mask is None:
+        return None
+    if isinstance(mask, SparseMatrix):
+        bitmap = np.zeros(n, dtype=bool)
+        bitmap[_positions(mask)] = True
+    else:
+        bitmap = mask
+    return ~bitmap if complement else bitmap
+
+
+def _chunks(starts, counts):
+    """Split the ranges (starts[k], starts[k] + counts[k]) into chunks of
+    about _VXM_CHUNK_PRODUCTS positions, a range above it alone: yield
+    (lo, hi, positions of ranges lo..hi-1)."""
+    before = np.cumsum(counts) - counts  # positions of earlier ranges
+    lo = 0
+    while lo < len(counts):
+        hi = int(np.searchsorted(before, before[lo] + _VXM_CHUNK_PRODUCTS))
+        hi = max(hi, lo + 1)
+        yield lo, hi, _ranges(starts[lo:hi], counts[lo:hi])
+        lo = hi
+
+
+def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix, mask=None,
+        complement=False) -> SparseMatrix:
+    """Matrix times column vector: w(i) = add-reduction over k of
+    a(i,k) mul v(k); v must be n x 1.
+
+    Pull-style (dot products): only the rows of `a` that the mask keeps
+    are read, every row without a mask. `mask` is an nrows x 1 matrix
+    read by structure or a bool array of nrows entries (a bitmap): the
+    result keeps the rows it stores or sets, or with complement=True
+    the rows it does not.
+    """
     if v.ncols != 1:
         raise DimensionError("mxv expects a column vector",
                              expected=f"{a.ncols}x1",
@@ -162,12 +222,35 @@ def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
         raise DimensionError("vector length does not match matrix columns",
                              expected=f"{a.ncols}x1",
                              actual=f"{v.nrows}x1")
+    _check_mask(mask, a.nrows, 1)
     _check_domains(sr, a, v)
-    return _mxv(sr, a, v)
+    return _mxv(sr, a, v, mask, complement)
 
 
-def _mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix) -> SparseMatrix:
-    return _mxm(sr, a, v)
+def _mxv(sr, a, v, mask=None, complement=False):
+    keep = _keep(mask, complement, a.nrows)
+    rows = np.arange(a.nrows) if keep is None else np.flatnonzero(keep)
+    # v as one slot per position plus a presence bitmap
+    k = _positions(v)
+    present = np.zeros(a.ncols, dtype=bool)
+    present[k] = True
+    dense = np.zeros(a.ncols, dtype=v.values.dtype)
+    dense[k] = v.values
+    starts = a.indptr[rows]
+    counts = a.indptr[rows + 1] - starts
+
+    def chunks():
+        # slot s is row rows[s]; a row's products go in column order
+        for lo, hi, pos in _chunks(starts, counts):
+            cols = a.indices[pos]
+            hit = np.flatnonzero(present[cols])  # faster than a bool index
+            slots = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            yield slots[hit], sr.mul.ufunc(
+                _wide(a.values[pos[hit]], sr.domain), dense[cols[hit]])
+
+    kept, vals = _accumulate(sr, len(rows), chunks())
+    return _csr(a.nrows, 1, rows[kept], np.zeros(len(kept), dtype=np.int64),
+                vals, sr.domain)
 
 
 def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
@@ -179,9 +262,9 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
     follows the out-edges of the frontier, never nnz(a); the products
     fold into one slot per result column, or are sorted and folded when
     the result is wider than both 2**16 and four times the product
-    count. `mask` is a 1 x ncols matrix read by structure: the result
-    keeps the columns it stores, or with complement=True the columns it
-    does not store.
+    count. `mask` is a 1 x ncols matrix read by structure or a bool
+    array of ncols entries (a bitmap): the result keeps the columns it
+    stores or sets, or with complement=True the columns it does not.
     """
     if f.nrows != 1:
         raise DimensionError("vxm expects a row vector",
@@ -191,10 +274,7 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
         raise DimensionError("vector length does not match matrix rows",
                              expected=f"1x{a.nrows}",
                              actual=f"1x{f.ncols}")
-    if mask is not None and mask.dims != (1, a.ncols):
-        raise DimensionError("mask shape does not match the result",
-                             expected=f"1x{a.ncols}",
-                             actual=f"{mask.nrows}x{mask.ncols}")
+    _check_mask(mask, 1, a.ncols)
     _check_domains(sr, f, a)
     return _vxm(sr, f, a, mask, complement)
 
@@ -202,27 +282,13 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
 def _vxm(sr, f, a, mask, complement):
     starts = a.indptr[f.indices]
     counts = a.indptr[f.indices + 1] - starts
-    before = np.cumsum(counts) - counts  # products of earlier entries
-    products = int(before[-1] + counts[-1]) if f.nnz else 0
-    if not _dense(a.ncols, products):
+    if not _dense(a.ncols, int(counts.sum())):
         return _vxm_sorted(sr, f, a, mask, complement, starts, counts)
-
-    def chunks():
-        lo = 0
-        while lo < f.nnz:
-            hi = int(np.searchsorted(before, before[lo] + _VXM_CHUNK_PRODUCTS))
-            hi = max(hi, lo + 1)
-            pos = _ranges(starts[lo:hi], counts[lo:hi])
-            yield a.indices[pos], sr.mul.ufunc(
-                _wide(np.repeat(f.values[lo:hi], counts[lo:hi]), sr.domain),
-                a.values[pos])
-            lo = hi
-
-    keep = None
-    if mask is not None:
-        keep = np.full(a.ncols, bool(complement))
-        keep[mask.indices] = not complement
-    cols, vals = _accumulate(sr, a.ncols, chunks(), keep)
+    chunks = ((a.indices[pos], sr.mul.ufunc(
+        _wide(np.repeat(f.values[lo:hi], counts[lo:hi]), sr.domain),
+        a.values[pos])) for lo, hi, pos in _chunks(starts, counts))
+    cols, vals = _accumulate(sr, a.ncols, chunks,
+                             _keep(mask, complement, a.ncols))
     return SparseMatrix(1, a.ncols, np.array([0, len(cols)]), cols, vals,
                         sr.domain)
 
@@ -234,7 +300,12 @@ def _vxm_sorted(sr, f, a, mask, complement, starts, counts):
     src = np.repeat(np.arange(f.nnz), counts)
     cols = a.indices[pos]
     if mask is not None:  # masked columns go before the sort
-        keep = np.isin(cols, mask.indices) != complement
+        if isinstance(mask, SparseMatrix):  # a bitmap this wide won't fit
+            k = np.searchsorted(mask.indices, cols)
+            hit = np.append(mask.indices, -1)[k] == cols
+        else:
+            hit = mask[cols]
+        keep = np.flatnonzero(hit != complement)
         pos, src, cols = pos[keep], src[keep], cols[keep]
     prod = sr.mul.ufunc(_wide(f.values[src], sr.domain), a.values[pos])
     rows = np.zeros(len(cols), dtype=np.int64)

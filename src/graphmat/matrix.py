@@ -43,9 +43,15 @@ class SparseMatrix:
 
     Construct through build(), not directly; the constructor trusts its
     arguments to already be canonical.
+
+    A matrix keeps one slot for its transpose, filled on first use by
+    the kernels that read columns (a pull hop of BFS). A directed graph
+    that has been pulled over thus holds one transpose as well, twice
+    its memory; a matrix equal to its transpose holds itself there.
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "values", "domain")
+    __slots__ = ("nrows", "ncols", "indptr", "indices", "values", "domain",
+                 "_t")
 
     def __init__(self, nrows, ncols, indptr, indices, values, domain: Domain):
         self.nrows = int(nrows)
@@ -54,6 +60,15 @@ class SparseMatrix:
         self.indices = indices
         self.values = values
         self.domain = domain
+        self._t = None
+
+    def _transposed(self, build=True):
+        """The cached transpose, built and kept on first use; with
+        build=False, None until then."""
+        if self._t is None and build:
+            t = _transpose(self)
+            self._t = self if t == self else t
+        return self._t
 
     @property
     def dims(self) -> Dimensions:
@@ -103,13 +118,9 @@ class SparseMatrix:
 
 def empty_matrix(sr: Semiring, nrows, ncols) -> SparseMatrix:
     _check_dims(nrows, ncols)
-    return SparseMatrix(
-        nrows, ncols,
-        np.zeros(nrows + 1, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=sr.domain.dtype),
-        sr.domain,
-    )
+    empty = np.empty(0, dtype=np.int64)
+    return _csr(nrows, ncols, empty, empty,
+                np.empty(0, dtype=sr.domain.dtype), sr.domain)
 
 
 def _check_dims(nrows, ncols):
@@ -181,12 +192,26 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
     return rows[starts][keep], cols[starts][keep], vals
 
 
-def _csr(nrows, ncols, rows, cols, vals, domain: Domain) -> SparseMatrix:
-    """CSR from row-major ordered triples with no repeated (row, col)."""
+# the most rows whose nrows + 1 int64 row pointers numpy can address
+_MAX_ROWS = np.iinfo(np.intp).max // 8 - 1
+
+
+def _indptr(nrows, rows):
+    """Row pointers of a matrix with one entry per element of `rows`."""
+    if nrows > _MAX_ROWS:
+        raise DimensionError("row dimension too large for the row pointers",
+                             expected=f"at most {_MAX_ROWS} rows",
+                             actual=f"{nrows} rows")
     indptr = np.zeros(nrows + 1, dtype=np.int64)
     if len(rows):
         np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-    return SparseMatrix(nrows, ncols, indptr, cols, vals, domain)
+    return indptr
+
+
+def _csr(nrows, ncols, rows, cols, vals, domain: Domain) -> SparseMatrix:
+    """CSR from row-major ordered triples with no repeated (row, col)."""
+    return SparseMatrix(nrows, ncols, _indptr(nrows, rows), cols, vals,
+                        domain)
 
 
 def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
@@ -266,15 +291,18 @@ def extract_tuples(a: SparseMatrix) -> TripleList:
 
 
 def transpose(a: SparseMatrix) -> SparseMatrix:
-    """Swap rows and columns: result(j, i) = a(i, j)."""
+    """Swap rows and columns: result(j, i) = a(i, j). Not cached."""
     return _transpose(a)
 
 
 def _transpose(a: SparseMatrix) -> SparseMatrix:
-    rows = a.row_arrays()
-    order = _order(a.indices, rows, a.ncols, a.nrows)
-    return _csr(a.ncols, a.nrows, a.indices[order], rows[order],
-                a.values[order], a.domain)
+    """Gustavson's permuted transposition (1978): CSR rows ascend, so a
+    stable order of the column indices alone lists each column's
+    entries by ascending row."""
+    keys = a.indices.astype(np.uint16) if a.ncols <= 2**16 else a.indices
+    order = np.argsort(keys, kind="stable")  # a radix sort for uint16
+    return SparseMatrix(a.ncols, a.nrows, _indptr(a.ncols, a.indices),
+                        a.row_arrays()[order], a.values[order], a.domain)
 
 
 def check_no_stored_zero(a: SparseMatrix, zero) -> bool:

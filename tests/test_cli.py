@@ -40,6 +40,16 @@ class TestBuild:
         assert main(["build", str(p)]) == 2
         assert "int64" in capsys.readouterr().err
 
+    def test_vertex_index_beyond_row_pointers_exit_2(self, tmp_path,
+                                                     capsys):
+        # fits int64, but 2**62 + 1 row pointers are more than numpy can
+        # address; refused before any allocation, so no memory limit
+        p = tmp_path / "huge.tsv"
+        p.write_text("0\t4611686018427387904\t1\n")
+        assert main(["build", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "row dimension" in err and "4611686018427387905 rows" in err
+
     def test_build_writes_matrix_market(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         assert main(["build", EDGES, "--output", str(out)]) == 0
@@ -182,6 +192,17 @@ class TestBench:
         lines = [l for l in out.splitlines()
                  if re.match(r"transpose,\d+,\d+,", l)]
         assert len(lines) == 2
+
+    def test_table_shows_per_trial_overhead_range(self, capsys):
+        assert main(["bench", "--op", "transpose", "--scale-min", "5",
+                     "--scale-max", "5", "--edge-factor", "4",
+                     "--trials", "3"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert header.endswith("per-trial min..max%")
+        overhead, spread = row.split()[-2:]
+        lo, hi = map(float, spread.split(".."))
+        # the mean overhead is a weighted mean of the per-trial ones
+        assert lo <= float(overhead) <= hi
 
     def test_seed_determinism(self, capsys):
         args = ["bench", "--op", "mxv", "--scale-min", "5",

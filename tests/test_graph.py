@@ -4,7 +4,7 @@ import random
 import pytest
 
 import graphmat as gm
-from graphmat import fileio, oracle
+from graphmat import fileio, graph, oracle
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 
 from conftest import (
@@ -262,18 +262,54 @@ class TestBfs:
                                                       max_hops=hops)
             assert res.parents == parents_oracle(d, res.levels)
 
-    def test_traversals_never_walk_or_transpose_a(self, monkeypatch):
+    def test_traversals_transpose_a_at_most_once(self, monkeypatch):
+        # a pull hop on a digraph reads A^T, which A builds once and keeps;
+        # every hop pulls here, as the default pulls on larger graphs only
+        monkeypatch.setattr(graph, "_PULL_ALPHA", math.inf)
         a = random_digraph(random.Random(5), 30, weights=True)
+        calls = []
+        real_transpose = gm.matrix._transpose
+
+        def spy(m):
+            calls.append(m)
+            return real_transpose(m)
 
         def walk(*args):
             raise AssertionError("O(nnz) pass over the adjacency")
 
+        monkeypatch.setattr(gm.matrix, "_transpose", spy)
+        first = {gf2: gm.bfs_levels(a, [0, 3], gf2=gf2)
+                 for gf2 in (False, True)}
+        assert len(calls) == 1
         monkeypatch.setattr(gm.SparseMatrix, "row_arrays", walk)
         monkeypatch.setattr(gm.matrix, "_transpose", walk)
-        d = oracle.densify(a, math.inf)
         for gf2 in (False, True):
-            gm.bfs_levels(a, [0, 3], gf2=gf2)
+            assert gm.bfs_levels(a, [0, 3], gf2=gf2) == first[gf2]
+        d = oracle.densify(a, math.inf)
         assert gm.sssp_minplus(a, 0) == oracle.dense_sssp(d, 0, math.inf)
+
+    @pytest.mark.parametrize("alpha", [0, math.inf], ids=["push", "pull"])
+    def test_one_direction_against_oracles(self, alpha, monkeypatch):
+        # alpha 0 pushes every hop, alpha inf pulls every hop over A^T
+        monkeypatch.setattr(graph, "_PULL_ALPHA", alpha)
+        self.test_random_vs_queue_oracle()
+        self.test_multisource()
+        for case in ("one-source", "sources", "max-hops", "gf2"):
+            self.test_parents_are_smallest_predecessor_one_level_up(case)
+
+    def test_pull_reads_the_transpose(self, monkeypatch):
+        monkeypatch.setattr(graph, "_PULL_ALPHA", math.inf)
+        a = gm.build(ARITH, (3, 3), ([0, 1], [1, 2], [1.0, 1.0]))
+        assert gm.bfs_levels(a, [0]).parents == [None, 0, 1]
+        at = a._transposed(build=False)
+        assert at is not a and at == gm.transpose(a)
+
+    def test_symmetric_matrix_is_its_own_transpose(self):
+        a = gm.build(ARITH, (3, 3), ([0, 1, 1, 2], [1, 0, 2, 1], [1.0] * 4))
+        assert a._transposed(build=False) is None
+        assert a._transposed() is a
+        b = gm.build(ARITH, (2, 2), ([0, 1], [1, 0], [1.0, 2.0]))
+        assert b._transposed() is not b  # same pattern, other values
 
     def test_out_of_bounds_source(self):
         a = load_fixture_adjacency()

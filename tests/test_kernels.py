@@ -281,6 +281,119 @@ class TestMxv:
             gm.mxv(ARITH, a, random_matrix(ARITH, rng, 4, 2))
 
 
+    MASKS = ["none", "mask", "complement", "bitmap", "bitmap-complement"]
+
+    @staticmethod
+    def _mask(rng, masked, n, column):
+        """A random mask of n positions, structural (read by pattern, so
+        its domain does not matter) or a bool bitmap, and the complement
+        flag of the case."""
+        complement = masked.endswith("complement")
+        if masked == "none":
+            return None, complement
+        dims = (n, 1) if column else (1, n)
+        if masked.startswith("bitmap"):
+            return np.array([rng.random() < 0.5 for _ in range(n)],
+                            dtype=bool), complement
+        return random_matrix(XOR, rng, *dims, density=0.5), complement
+
+    @staticmethod
+    def _kept(mask, complement, k):
+        if mask is None:
+            return True
+        if isinstance(mask, np.ndarray):
+            return bool(mask[k]) != complement
+        stored = mask.get(k, 0) if mask.ncols == 1 else mask.get(0, k)
+        return (stored is not None) != complement
+
+    @pytest.mark.parametrize("masked", MASKS)
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_masked_against_dense_oracle(self, name, masked):
+        sr = get_semiring(name)
+        rng = random.Random(41)
+        for _ in range(15):
+            n, m = rng.randint(1, 9), rng.randint(1, 9)
+            a = random_matrix(sr, rng, n, m, density=0.4)
+            v = random_matrix(sr, rng, m, 1, density=0.5)
+            mask, complement = self._mask(rng, masked, n, column=True)
+            got = gm.mxv(sr, a, v, mask=mask, complement=complement)
+            d = oracle.dense_mxm(sr, oracle.densify(a, sr.zero),
+                                 oracle.densify(v, sr.zero))
+            want = oracle.DenseMatrix(n, 1, sr.zero)
+            for i in range(n):
+                if self._kept(mask, complement, i):
+                    want[i, 0] = d[i, 0]
+            assert_matches_dense(got, want, sr.zero,
+                                 rel_tol=1e-12 if name == "arith-real" else 0)
+
+    @pytest.mark.parametrize("masked", MASKS)
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_several_chunks_against_oracle(self, name, masked, monkeypatch):
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 2)
+        self.test_masked_against_dense_oracle(name, masked)
+
+    @pytest.mark.parametrize("cap", [2, 1 << 13])
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_unmasked_bit_identical_to_row_wise_product(self, name, cap,
+                                                         monkeypatch):
+        # mxv was the row-wise mxm of A and v; the dot-product form folds
+        # each row's products in the same column order, so the same bits
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", cap)
+        sr = get_semiring(name)
+        rng = random.Random(43)
+        for _ in range(15):
+            n, m = rng.randint(1, 12), rng.randint(1, 12)
+            a = random_matrix(sr, rng, n, m, density=0.6)
+            v = random_matrix(sr, rng, m, 1, density=0.7)
+            if name == "arith-real":  # magnitudes that expose fold order
+                a = gm.build(sr, a.dims, (a.row_arrays(), a.indices, [
+                    rng.choice((-1, 1)) * 10.0 ** rng.randint(-8, 8)
+                    * rng.random() for _ in range(a.nnz)]))
+            got = gm.mxv(sr, a, v)
+            want = kernels._mxm(sr, a, v)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.values.tolist() == want.values.tolist()
+
+    def test_reads_only_kept_rows(self, monkeypatch):
+        # a pull over the rows the mask keeps: no row_arrays, and the
+        # masked-out rows' entries are never multiplied
+        a = gm.build(ARITH, (3, 3), ([0, 1, 2], [0, 0, 0], [1.0, 2.0, 3.0]))
+        v = gm.build(ARITH, (3, 1), ([0], [0], [1.0]))
+        products = []
+
+        def walk(self):
+            raise AssertionError("row_arrays walks every stored entry")
+
+        def times(x, y):
+            products.append(len(x))
+            return x * y
+
+        spy = gm.make_semiring("spy", ARITH.domain, ARITH.add,
+                               gm.BinaryOp("times", operator.mul, times),
+                               0.0, 1.0)
+        monkeypatch.setattr(SparseMatrix, "row_arrays", walk)
+        got = gm.mxv(spy, a, v, mask=np.array([False, True, False]))
+        assert got.indptr.tolist() == [0, 0, 1, 1]
+        assert got.values.tolist() == [2.0]
+        assert products == [1]
+
+    def test_mask_checks(self, rng):
+        a = random_matrix(ARITH, rng, 4, 5)
+        v = random_matrix(ARITH, rng, 5, 1)
+        for bad in (np.ones(5, dtype=bool), np.ones(4, dtype=np.int8),
+                    np.ones((4, 1), dtype=bool), [True] * 4,
+                    random_matrix(ARITH, rng, 1, 4),
+                    random_matrix(ARITH, rng, 5, 1)):
+            with pytest.raises(DimensionError):
+                gm.mxv(ARITH, a, v, mask=bad)
+        f = random_matrix(ARITH, rng, 1, 4)
+        for bad in (np.ones(4, dtype=bool), np.ones(5, dtype=float),
+                    random_matrix(ARITH, rng, 5, 1)):
+            with pytest.raises(DimensionError):
+                gm.vxm(ARITH, f, a, mask=bad)
+
+
 class TestVxm:
     @staticmethod
     def _want(sr, f, a, mask, complement):
@@ -344,6 +457,50 @@ class TestVxm:
                          complement=complement)
             assert got.dims == (1, 2**40)
             assert got.indices.tolist() == wide[want.indices].tolist()
+            assert got.values.tolist() == pytest.approx(
+                want.values.tolist(), rel=1e-12)
+
+    @pytest.mark.parametrize("masked", TestMxv.MASKS)
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_mask_forms_against_dense_oracle(self, name, masked):
+        # a structural mask and a bitmap of the same pattern act alike
+        sr = get_semiring(name)
+        rng = random.Random(47)
+        for _ in range(15):
+            n, m = rng.randint(1, 9), rng.randint(1, 9)
+            a = random_matrix(sr, rng, n, m, density=0.4)
+            f = random_matrix(sr, rng, 1, n, density=0.5)
+            mask, complement = TestMxv._mask(rng, masked, m, column=False)
+            structural = mask
+            if isinstance(mask, np.ndarray):
+                k = np.flatnonzero(mask)
+                structural = gm.build(XOR, (1, m), ([0] * len(k), k,
+                                                    [1] * len(k)))
+            got = gm.vxm(sr, f, a, mask=mask, complement=complement)
+            assert_matches_dense(
+                got, self._want(sr, f, a, structural, complement), sr.zero,
+                rel_tol=1e-12 if name == "arith-real" else 0)
+
+    @pytest.mark.parametrize("masked", ["bitmap", "bitmap-complement"])
+    def test_bitmap_on_the_sort_path(self, masked):
+        # 2**17 columns and few products take the sort-and-fold path,
+        # which reads a bitmap at the product columns
+        rng = random.Random(53)
+        wide = 2**17
+        cols = np.array(sorted(rng.sample(range(wide), 9)), dtype=np.int64)
+        for _ in range(15):
+            n = rng.randint(1, 9)
+            a = random_matrix(ARITH, rng, n, 9, density=0.4)
+            f = random_matrix(ARITH, rng, 1, n, density=0.5)
+            narrow, complement = TestMxv._mask(rng, masked, 9, column=False)
+            bitmap = np.zeros(wide, dtype=bool)
+            bitmap[cols[narrow]] = True
+            a_wide = gm.build(ARITH, (n, wide), (a.row_arrays(),
+                                                 cols[a.indices], a.values))
+            want = gm.vxm(ARITH, f, a, mask=narrow, complement=complement)
+            got = gm.vxm(ARITH, f, a_wide, mask=bitmap,
+                         complement=complement)
+            assert got.indices.tolist() == cols[want.indices].tolist()
             assert got.values.tolist() == pytest.approx(
                 want.values.tolist(), rel=1e-12)
 

@@ -176,6 +176,37 @@ class TestTranspose:
         assert vt.get(2, 0) == 2.5
 
 
+    @pytest.mark.parametrize("ncols", [1, 9, 2**16, 2**16 + 1, 10**6])
+    def test_column_order_equals_row_major_sort(self, rng, ncols):
+        # the old transpose: a stable row-major sort of (col, row) keys;
+        # the column order alone must give the same arrays, uint16 keys
+        # up to 2**16 columns and int64 above
+        for _ in range(20):
+            nrows = rng.randint(1, 30)
+            k = rng.randint(0, 60)
+            rows = [rng.randrange(nrows) for _ in range(k)]
+            # few distinct columns, so most columns and some rows are empty
+            pool = rng.sample(range(ncols), min(ncols, 5))
+            cols = [rng.choice(pool) for _ in range(k)]
+            a = gm.build(ARITH, (nrows, ncols),
+                         (rows, cols, [rng.uniform(1, 9) for _ in rows]))
+            r = a.row_arrays()
+            order = np.lexsort((r, a.indices))
+            at = gm.transpose(a)
+            assert at.dims == (ncols, nrows)
+            assert np.array_equal(
+                at.indptr, np.concatenate(([0], np.cumsum(
+                    np.bincount(a.indices, minlength=ncols)))))
+            assert np.array_equal(at.indices, r[order])
+            assert np.array_equal(at.values, a.values[order])
+
+    def test_public_transpose_is_not_cached(self, rng):
+        a = random_matrix(ARITH, rng, 4, 6)
+        assert gm.transpose(a) is not gm.transpose(a)
+        assert a._transposed(build=False) is None
+        assert a._transposed() is a._transposed() == gm.transpose(a)
+
+
 class TestCanonicalInvariants:
     @pytest.mark.parametrize("name", ["arith-real", "min-plus", "xor-and"])
     def test_canonical_form(self, name, rng):
