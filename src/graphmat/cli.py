@@ -14,7 +14,7 @@ from . import bench as bench_mod
 from . import fileio, graph, kernels
 from .algebra import semiring_by_name
 from .errors import GraphMatError
-from .matrix import build, extract_tuples, transpose
+from .matrix import build, transpose
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,9 +63,7 @@ def cmd_build(args):
 def cmd_tuples(args):
     sr = _semiring_from_args(args)
     a = _load_matrix(args.input, args, sr)
-    shift = 1 if args.one_based else 0
-    for r, c, v in extract_tuples(a):
-        print(f"{r + shift}\t{c + shift}\t{a.domain.render(v)}")
+    fileio._write_entries(sys.stdout, a, "\t", 1 if args.one_based else 0)
 
 
 def cmd_transpose(args):

@@ -18,14 +18,14 @@ from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
 from .matrix import (SparseMatrix, _csr, _fold, _narrow, _order, _wide,
                      coalesce)
 
-# cap on expanded products per multiply block; it bounds peak memory
-# without affecting results, and blocks this small keep their 512 KiB
-# temporaries and accumulator in cache
+# the block cap: expanded products per multiply block. Blocks end on
+# row boundaries (a row above the cap is a block of its own), and a
+# block's accumulator holds at most 4x its products or 2**16 slots
 _MXM_CHUNK_PRODUCTS = 1 << 16
-# products per vxm chunk, entries read per mxv chunk: a chunk's 8-byte
-# temporaries stay at 64 KiB, below the C allocator's default mmap
-# threshold, so every chunk and hop reuses the same heap memory instead
-# of faulting in fresh pages
+# the chunk cap: products per accumulator chunk, entries per mxv chunk.
+# A block folds a chunk at a time, so a heavy row splits too, and a
+# chunk's 8-byte temporaries stay at 64 KiB, below the C allocator's
+# mmap threshold, so chunks and hops reuse the same heap memory
 _VXM_CHUNK_PRODUCTS = 1 << 13
 # a product folds into one slot per output position unless the slots
 # outnumber both this and four times the products
@@ -35,22 +35,17 @@ _DENSE_MIN_SLOTS = 1 << 16
 def _ranges(starts, counts):
     """Concatenate ranges(starts[k], starts[k] + counts[k]) into one
     flat index array."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     flat = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    flat += np.arange(total, dtype=np.int64)
+    flat += np.arange(len(flat))
     return flat
 
 
-def _check_domains(sr_or_domain, *mats):
-    name = (sr_or_domain.domain.name if isinstance(sr_or_domain, Semiring)
-            else sr_or_domain.name)
+def _check_domains(domain, *mats):
     for m in mats:
-        if m.domain.name != name:
+        if m.domain.name != domain.name:
             raise DomainError(
                 f"domain mismatch: matrix holds {m.domain.name}, "
-                f"operation expects {name}")
+                f"operation expects {domain.name}")
 
 
 def _check_index_vector(idx, bound, what):
@@ -107,50 +102,76 @@ def mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         raise DimensionError("inner dimensions do not match",
                              expected=f"l x * with l={a.ncols}",
                              actual=f"{b.nrows}x{b.ncols}")
-    _check_domains(sr, a, b)
+    _check_domains(sr.domain, a, b)
     return _mxm(sr, a, b)
 
 
-def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """Gustavson's row-wise product (1978), one block of rows at a time."""
-    b_rowlen = np.diff(b.indptr)
-    a_rows = a.row_arrays()
-    per_entry = b_rowlen[a.indices]
+def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
+         complement=False) -> SparseMatrix:
+    """Gustavson's row-wise product (1978), one block of rows at a time;
+    `mask` and `complement` select result positions as in vxm."""
+    starts = b.indptr[a.indices]
+    counts = b.indptr[1:][a.indices] - starts  # products per entry of a
+    total = int(counts.sum())
+    blocks = [(0, a.nrows, total)]  # first row, row past the end, products
+    if total > _MXM_CHUNK_PRODUCTS:
+        # rows in blocks whose products stay below the block cap
+        row_cum = np.concatenate(([0], np.cumsum(counts)))[a.indptr]
+        blocks, r0 = [], 0
+        while r0 < a.nrows:
+            r1 = max(r0 + 1, int(np.searchsorted(
+                row_cum, row_cum[r0] + _MXM_CHUNK_PRODUCTS, side="right")) - 1)
+            blocks.append((r0, r1, int(row_cum[r1] - row_cum[r0])))
+            r0 = r1
+    indptr, parts = np.zeros(a.nrows + 1, dtype=np.int64), []
+    for r0, r1, products in blocks:
+        ends, cols, vals = _mxm_block(sr, a, b, r0, r1, products, starts,
+                                      counts, mask, complement)
+        indptr[r0 + 1:r1 + 1] = ends + indptr[r0]
+        parts.append((cols, vals))
+    if len(parts) > 1:  # one block's columns and values are the result's
+        cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return SparseMatrix(a.nrows, b.ncols, indptr, cols, vals, sr.domain)
 
-    # split output rows into blocks whose expanded products stay below
-    # the cap (a single row above it is a block of its own); a block's
-    # accumulator holds at most 4x its products or 2**16 slots, so the cap
-    # bounds it too. An output entry never straddles blocks because
-    # blocks end on row boundaries
-    row_cum = np.concatenate(([0], np.cumsum(per_entry)))[a.indptr]
-    empty = np.empty(0, dtype=np.int64)
-    parts = [(empty, empty, np.empty(0, dtype=sr.domain.dtype))]
-    r0 = 0
-    while r0 < a.nrows:
-        r1 = int(np.searchsorted(row_cum, row_cum[r0] + _MXM_CHUNK_PRODUCTS,
-                                 side="right")) - 1
-        r1 = max(r1, r0 + 1)
-        lo, hi = a.indptr[r0], a.indptr[r1]
-        counts = per_entry[lo:hi]
-        pos = _ranges(b.indptr[a.indices[lo:hi]], counts)
-        j_exp = b.indices[pos]
-        prod = sr.mul.ufunc(_wide(np.repeat(a.values[lo:hi], counts),
-                                  sr.domain), b.values[pos])
-        if _dense((r1 - r0) * b.ncols, len(prod)):
-            # slot (i - r0) * ncols + j, so slot order is row-major order
-            slots = np.repeat((a_rows[lo:hi] - r0) * b.ncols, counts)
-            slots += j_exp
-            kept, vals = _accumulate(sr, (r1 - r0) * b.ncols, [(slots, prod)])
-            rows = kept // b.ncols
-            parts.append((rows + r0, kept - rows * b.ncols, vals))
-        else:
-            i_exp = np.repeat(a_rows[lo:hi], counts)
-            order = _order(i_exp, j_exp, a.nrows, b.ncols)
-            parts.append(_fold(i_exp[order], j_exp[order], prod[order],
-                               sr.add, sr.zero, sr.domain))
-        r0 = r1
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return _csr(a.nrows, b.ncols, rows, cols, vals, sr.domain)
+
+def _mxm_block(sr, a, b, r0, r1, products, starts, counts, mask,
+               complement):
+    """Rows r0..r1-1 of a b as (entries up to the end of each row, or of
+    the one row; columns; values), folded in one accumulator slot per
+    position a chunk at a time, or sorted and folded if that is too wide."""
+    nb, ncols, lo, hi = r1 - r0, b.ncols, a.indptr[r0], a.indptr[r1]
+    starts, counts, x = starts[lo:hi], counts[lo:hi], a.values[lo:hi]
+    # block row of each entry of a; a one-row block needs none
+    rows = (None if nb == 1 else
+            np.repeat(np.arange(nb), np.diff(a.indptr[r0:r1 + 1])))
+    if _dense(nb * ncols, products):
+        def chunks():
+            for clo, chi, pos in _chunks(starts, counts):
+                slots = b.indices[pos]  # slot (i - r0) * ncols + j
+                if rows is not None:
+                    slots += rows[clo:chi].repeat(counts[clo:chi]) * ncols
+                yield slots, sr.mul.ufunc(_wide(x[clo:chi].repeat(
+                    counts[clo:chi]), sr.domain), b.values[pos])
+
+        j, vals = _accumulate(sr, nb * ncols, chunks(),
+                              _keep(mask, complement, r0, r1, ncols))
+        if rows is not None:
+            i = j // ncols
+            j -= i * ncols
+    else:
+        pos = _ranges(starts, counts)
+        i = np.zeros_like(pos) if rows is None else np.repeat(rows, counts)
+        j, x = b.indices[pos], np.repeat(x, counts)
+        if mask is not None:  # masked positions go before the sort
+            hit = np.flatnonzero(_hits(mask, r0, r1, ncols, i, j)
+                                 != complement)
+            pos, i, j, x = pos[hit], i[hit], j[hit], x[hit]
+        prod = sr.mul.ufunc(_wide(x, sr.domain), b.values[pos])
+        order = _order(i, j, nb, ncols)
+        i, j, vals = _fold(i[order], j[order], prod[order], sr.add, sr.zero,
+                           sr.domain)
+    ends = len(j) if rows is None else np.searchsorted(i, np.arange(1, nb + 1))
+    return ends, j, vals
 
 
 def _check_mask(mask, nrows, ncols):
@@ -176,30 +197,48 @@ def _positions(v):
     return v.indices if v.nrows == 1 else np.flatnonzero(np.diff(v.indptr))
 
 
-def _keep(mask, complement, n):
-    """The per-slot `keep` of `_accumulate` for a result of n positions:
-    the positions the mask stores (a structural vector) or sets (a
-    bitmap), or with complement=True those it does not."""
+def _keep(mask, complement, r0, r1, ncols):
+    """`_accumulate`'s keep for rows r0..r1-1 of an ncols-column result,
+    slot (i - r0) * ncols + j: the positions the mask stores or sets, or
+    with complement=True those it does not."""
     if mask is None:
         return None
     if isinstance(mask, SparseMatrix):
-        bitmap = np.zeros(n, dtype=bool)
-        bitmap[_positions(mask)] = True
+        bitmap = np.zeros((r1 - r0) * ncols, dtype=bool)
+        lo, hi = mask.indptr[r0], mask.indptr[r1]
+        rows = np.repeat(np.arange(r1 - r0), np.diff(mask.indptr[r0:r1 + 1]))
+        bitmap[rows * ncols + mask.indices[lo:hi]] = True
     else:
-        bitmap = mask
+        bitmap = mask[r0 * ncols:r1 * ncols]
     return ~bitmap if complement else bitmap
+
+
+def _hits(mask, r0, r1, ncols, i, j):
+    """Whether the mask stores or sets each position (r0 + i[k], j[k]);
+    a structural mask is binary-searched as (row, column) records, which
+    compare in its row-major order and which no column count overflows."""
+    if not isinstance(mask, SparseMatrix):
+        return mask[(i + r0) * ncols + j]
+    lo, hi = mask.indptr[r0], mask.indptr[r1]
+    rows = np.repeat(np.arange(r1 - r0), np.diff(mask.indptr[r0:r1 + 1]))
+    have, want = (np.rec.fromarrays(p, names="i,j") for p in (
+        (np.append(rows, -1), np.append(mask.indices[lo:hi], -1)), (i, j)))
+    return have[np.searchsorted(have[:-1], want)] == want  # -1: no match
 
 
 def _chunks(starts, counts):
     """Split the ranges (starts[k], starts[k] + counts[k]) into chunks of
     about _VXM_CHUNK_PRODUCTS positions, a range above it alone: yield
-    (lo, hi, positions of ranges lo..hi-1)."""
-    before = np.cumsum(counts) - counts  # positions of earlier ranges
+    (lo, hi, positions of ranges lo..hi-1). This runs on every hop, so it
+    calls ndarray methods, which skip the numpy functions' wrappers."""
+    before = counts.cumsum() - counts  # positions of earlier ranges
     lo = 0
     while lo < len(counts):
-        hi = int(np.searchsorted(before, before[lo] + _VXM_CHUNK_PRODUCTS))
-        hi = max(hi, lo + 1)
-        yield lo, hi, _ranges(starts[lo:hi], counts[lo:hi])
+        hi = max(lo + 1, int(before.searchsorted(
+            before[lo] + _VXM_CHUNK_PRODUCTS)))
+        pos = (starts[lo:hi] - before[lo:hi]).repeat(counts[lo:hi])
+        pos += np.arange(before[lo], before[lo] + len(pos))
+        yield lo, hi, pos
         lo = hi
 
 
@@ -223,12 +262,12 @@ def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix, mask=None,
                              expected=f"{a.ncols}x1",
                              actual=f"{v.nrows}x1")
     _check_mask(mask, a.nrows, 1)
-    _check_domains(sr, a, v)
+    _check_domains(sr.domain, a, v)
     return _mxv(sr, a, v, mask, complement)
 
 
 def _mxv(sr, a, v, mask=None, complement=False):
-    keep = _keep(mask, complement, a.nrows)
+    keep = _keep(mask, complement, 0, a.nrows, 1)
     rows = np.arange(a.nrows) if keep is None else np.flatnonzero(keep)
     # v as one slot per position plus a presence bitmap
     k = _positions(v)
@@ -237,7 +276,7 @@ def _mxv(sr, a, v, mask=None, complement=False):
     dense = np.zeros(a.ncols, dtype=v.values.dtype)
     dense[k] = v.values
     starts = a.indptr[rows]
-    counts = a.indptr[rows + 1] - starts
+    counts = a.indptr[1:][rows] - starts
 
     def chunks():
         # slot s is row rows[s]; a row's products go in column order
@@ -258,13 +297,12 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
     """Row vector times matrix: w(j) = add-reduction over k of
     f(k) mul a(k,j); f must be 1 x n.
 
-    Push-style: only the rows of `a` that f stores are read, so the cost
-    follows the out-edges of the frontier, never nnz(a); the products
-    fold into one slot per result column, or are sorted and folded when
-    the result is wider than both 2**16 and four times the product
-    count. `mask` is a 1 x ncols matrix read by structure or a bool
-    array of ncols entries (a bitmap): the result keeps the columns it
-    stores or sets, or with complement=True the columns it does not.
+    Push-style, as `mxm` on the one-row matrix f: only the rows of `a`
+    that f stores are read, so the cost follows the out-edges of the
+    frontier, never nnz(a). `mask` is a 1 x ncols matrix read by
+    structure or a bool array of ncols entries (a bitmap): the result
+    keeps the columns it stores or sets, or with complement=True the
+    columns it does not.
     """
     if f.nrows != 1:
         raise DimensionError("vxm expects a row vector",
@@ -275,44 +313,8 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
                              expected=f"1x{a.nrows}",
                              actual=f"1x{f.ncols}")
     _check_mask(mask, 1, a.ncols)
-    _check_domains(sr, f, a)
-    return _vxm(sr, f, a, mask, complement)
-
-
-def _vxm(sr, f, a, mask, complement):
-    starts = a.indptr[f.indices]
-    counts = a.indptr[f.indices + 1] - starts
-    if not _dense(a.ncols, int(counts.sum())):
-        return _vxm_sorted(sr, f, a, mask, complement, starts, counts)
-    chunks = ((a.indices[pos], sr.mul.ufunc(
-        _wide(np.repeat(f.values[lo:hi], counts[lo:hi]), sr.domain),
-        a.values[pos])) for lo, hi, pos in _chunks(starts, counts))
-    cols, vals = _accumulate(sr, a.ncols, chunks,
-                             _keep(mask, complement, a.ncols))
-    return SparseMatrix(1, a.ncols, np.array([0, len(cols)]), cols, vals,
-                        sr.domain)
-
-
-def _vxm_sorted(sr, f, a, mask, complement, starts, counts):
-    """vxm by sort and fold, for results too wide for one slot per
-    column."""
-    pos = _ranges(starts, counts)
-    src = np.repeat(np.arange(f.nnz), counts)
-    cols = a.indices[pos]
-    if mask is not None:  # masked columns go before the sort
-        if isinstance(mask, SparseMatrix):  # a bitmap this wide won't fit
-            k = np.searchsorted(mask.indices, cols)
-            hit = np.append(mask.indices, -1)[k] == cols
-        else:
-            hit = mask[cols]
-        keep = np.flatnonzero(hit != complement)
-        pos, src, cols = pos[keep], src[keep], cols[keep]
-    prod = sr.mul.ufunc(_wide(f.values[src], sr.domain), a.values[pos])
-    rows = np.zeros(len(cols), dtype=np.int64)
-    order = _order(rows, cols, 1, a.ncols)
-    rows, cols, vals = _fold(rows, cols[order], prod[order], sr.add,
-                             sr.zero, sr.domain)
-    return _csr(1, a.ncols, rows, cols, vals, sr.domain)
+    _check_domains(sr.domain, f, a)
+    return _mxm(sr, f, a, mask, complement)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +326,7 @@ def _check_ewise(a, b):
         raise DimensionError("element-wise operands differ in shape",
                              expected=f"{a.nrows}x{a.ncols}",
                              actual=f"{b.nrows}x{b.ncols}")
-    if a.domain.name != b.domain.name:
-        raise DomainError(f"domain mismatch: {a.domain.name} vs "
-                          f"{b.domain.name}")
+    _check_domains(a.domain, b)
 
 
 def ewise_add(op: BinaryOp, zero, a: SparseMatrix,
@@ -433,9 +433,7 @@ def assign(c: SparseMatrix, i, j, a: SparseMatrix) -> SparseMatrix:
         raise GraphMatError("repeated row index in assign")
     if len(np.unique(j)) != len(j):
         raise GraphMatError("repeated column index in assign")
-    if a.domain.name != c.domain.name:
-        raise DomainError(f"domain mismatch: {a.domain.name} vs "
-                          f"{c.domain.name}")
+    _check_domains(c.domain, a)
     return _assign(c, i, j, a)
 
 

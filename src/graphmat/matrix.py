@@ -192,19 +192,18 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
     return rows[starts][keep], cols[starts][keep], vals
 
 
-# the most rows whose nrows + 1 int64 row pointers numpy can address
-_MAX_ROWS = np.iinfo(np.intp).max // 8 - 1
-
-
 def _indptr(nrows, rows):
-    """Row pointers of a matrix with one entry per element of `rows`."""
-    if nrows > _MAX_ROWS:
+    """Row pointers of a matrix with one entry per element of `rows`;
+    DimensionError when numpy cannot address them (ValueError) or memory
+    cannot hold them."""
+    try:
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        if len(rows):
+            np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+    except (MemoryError, ValueError):
         raise DimensionError("row dimension too large for the row pointers",
-                             expected=f"at most {_MAX_ROWS} rows",
-                             actual=f"{nrows} rows")
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    if len(rows):
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
+                             expected="row pointers that fit in memory",
+                             actual=f"{nrows} rows") from None
     return indptr
 
 
@@ -238,10 +237,14 @@ def _convert(vals, domain: Domain):
     if domain.dtype is object:
         return np.asarray(vals, dtype=object)
     raw = np.asarray(vals)
+    if raw.dtype.kind == "f" and np.dtype(domain.dtype).kind in "iu":
+        # Python ints that no one integer dtype holds (2**63 beside 1)
+        # come out as rounded floats; as objects they cast exactly
+        raw = np.asarray(vals, dtype=object)
     try:
         with np.errstate(invalid="ignore"):
             cast = raw.astype(domain.dtype, copy=False)
-    except OverflowError:  # Python ints beyond the dtype
+    except (OverflowError, ValueError):  # beyond the dtype, or NaN
         raise DomainError(f"value outside domain {domain.name}") from None
     if cast.dtype != raw.dtype and not np.array_equal(cast, raw):
         raise DomainError(f"value outside domain {domain.name}")

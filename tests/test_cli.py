@@ -1,6 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
-from graphmat.cli import main
+import pytest
+
+import graphmat as gm
+from graphmat.cli import _load_matrix, _make_parser, main
 
 from conftest import DATA_DIR
 
@@ -50,6 +57,27 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "row dimension" in err and "4611686018427387905 rows" in err
 
+    def test_row_pointers_beyond_memory_exit_2(self, tmp_path):
+        # 10**11 + 1 row pointers are within numpy's reach but not within
+        # the child's own address space, capped at 3 GiB, so the
+        # allocation fails at once and touches no memory
+        pytest.importorskip("resource")  # POSIX only
+        p = tmp_path / "far.tsv"
+        p.write_text("0\t100000000000\t1\n")
+        script = ("import resource, sys\n"
+                  "from graphmat.cli import main\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30,) * 2)\n"
+                  f"sys.exit(main(['build', {str(p)!r}]))\n")
+        paths = [str(Path(gm.__file__).parent.parent),
+                 os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert "row dimension" in run.stderr
+        assert "100000000001 rows" in run.stderr
+
     def test_build_writes_matrix_market(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
         assert main(["build", EDGES, "--output", str(out)]) == 0
@@ -62,6 +90,30 @@ class TestTuples:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 12
         assert lines[0] == "0\t1\t1.0"
+
+    @pytest.mark.parametrize("semiring", ["arith-real", "arith-natural",
+                                          "xor-and"])
+    @pytest.mark.parametrize("one_based", [False, True])
+    def test_bytes_equal_the_entry_by_entry_format(self, tmp_path, capsys,
+                                                   semiring, one_based):
+        # the fixture's edges with weights of one, and with weights
+        # above 2**63; numbered from 1 for --one-based
+        shift = int(one_based)
+        edges = [[int(t) + shift for t in line.split()]
+                 for line in open(EDGES).read().splitlines()]
+        plain, weighted = tmp_path / "plain.tsv", tmp_path / "weighted.tsv"
+        plain.write_text("".join(f"{u}\t{v}\n" for u, v in edges))
+        weighted.write_text("".join(
+            f"{u}\t{v}\t{[2**63 + 5, 2**64 - 1, 1][k % 3]}\n"
+            for k, (u, v) in enumerate(edges)))
+        for src in (str(plain), str(weighted)):
+            flags = ["--one-based"] * one_based + ["--semiring", semiring]
+            assert main(["tuples", src] + flags) == 0
+            args = _make_parser().parse_args(["tuples", src] + flags)
+            a = _load_matrix(src, args, gm.semiring_by_name(semiring))
+            want = "".join(f"{r + shift}\t{c + shift}\t{a.domain.render(v)}\n"
+                           for r, c, v in gm.extract_tuples(a))
+            assert capsys.readouterr().out == want
 
 
 class TestBfs:

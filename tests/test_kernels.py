@@ -836,3 +836,154 @@ class TestKernelOutputsAudit:
                         gm.ewise_mult(sr.mul, sr.zero, a, b),
                         gm.transpose(a)):
                 assert check_no_stored_zero(out, sr.zero)
+
+
+def widen(sr, m, wide):
+    """m with column k moved to column wide[k] of 2**60 columns."""
+    return gm.build(sr, (m.nrows, 2**60),
+                    (m.row_arrays(), wide[m.indices], m.values))
+
+
+class TestSortPathPairs:
+    """Results whose rows times columns reach 2**63: the sort path keeps
+    (row, column) pairs and never packs them into one int64 key."""
+
+    WIDE = 2**60
+
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_mxm_matches_narrow(self, name):
+        sr = get_semiring(name)
+        rng = random.Random(59)
+        wide = np.array(sorted(rng.sample(range(self.WIDE), 7)))
+        last_row_stored = False
+        for _ in range(10):
+            a = random_matrix(sr, rng, 9, 8, density=0.5)
+            b = random_matrix(sr, rng, 8, 7, density=0.5)
+            want = gm.mxm(sr, a, b)
+            got = gm.mxm(sr, a, widen(sr, b, wide))
+            assert got.dims == (9, self.WIDE) and 8 * self.WIDE >= 2**63
+            assert np.array_equal(got.indptr, want.indptr)
+            assert got.indices.tolist() == wide[want.indices].tolist()
+            assert got.values.tolist() == want.values.tolist()
+            last_row_stored |= bool(got.indptr[9] > got.indptr[8])
+        assert last_row_stored
+
+    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_vxm_structural_mask_matches_narrow(self, name, complement):
+        sr = get_semiring(name)
+        rng = random.Random(61)
+        wide = np.array(sorted(rng.sample(range(self.WIDE), 9)))
+        for _ in range(15):
+            n = rng.randint(1, 9)
+            a = random_matrix(sr, rng, n, 9, density=0.4)
+            f = random_matrix(sr, rng, 1, n, density=0.5)
+            mask = random_matrix(XOR, rng, 1, 9, density=0.5)
+            want = gm.vxm(sr, f, a, mask=mask, complement=complement)
+            got = gm.vxm(sr, f, widen(sr, a, wide),
+                         mask=widen(XOR, mask, wide),
+                         complement=complement)
+            assert got.dims == (1, self.WIDE)
+            assert got.indices.tolist() == wide[want.indices].tolist()
+            assert got.values.tolist() == want.values.tolist()
+
+
+class TestMaskedMxmBlocks:
+    """The mask of `_mxm` (which vxm passes) on results of many rows:
+    C<M> = A B against the oracle, per slot on the accumulator path and
+    per (row, column) pair on the sort path, with blocks of 3 products."""
+
+    @pytest.mark.parametrize("path", ["accumulate", "sort"])
+    @pytest.mark.parametrize("masked", TestMxv.MASKS[1:])
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_against_dense_oracle(self, name, masked, path, monkeypatch):
+        monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 3)
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 2)
+        if path == "sort":
+            monkeypatch.setattr(kernels, "_dense", lambda slots, products:
+                                False)
+        sr = get_semiring(name)
+        rng = random.Random(67)
+        complement = masked.endswith("complement")
+        for _ in range(10):
+            m, k, n = (rng.randint(1, 6) for _ in range(3))
+            a = random_matrix(sr, rng, m, k, density=0.5)
+            b = random_matrix(sr, rng, k, n, density=0.5)
+            pattern = random_matrix(XOR, rng, m, n, density=0.5)
+            mask = pattern
+            if masked.startswith("bitmap"):
+                mask = np.zeros(m * n, dtype=bool)
+                mask[pattern.row_arrays() * n + pattern.indices] = True
+            got = kernels._mxm(sr, a, b, mask, complement)
+            d = oracle.dense_mxm(sr, oracle.densify(a, sr.zero),
+                                 oracle.densify(b, sr.zero))
+            want = oracle.DenseMatrix(m, n, sr.zero)
+            for i in range(m):
+                for j in range(n):
+                    if (pattern.get(i, j) is not None) != complement:
+                        want[i, j] = d[i, j]
+            assert_matches_dense(got, want, sr.zero,
+                                 rel_tol=1e-12 if name == "arith-real" else 0)
+
+    def test_wide_mask_rows_past_the_first(self):
+        # 6 rows of 2**60 columns, rows 1.. of the mask included
+        rng = random.Random(71)
+        wide = np.array(sorted(rng.sample(range(2**60), 7)))
+        for _ in range(10):
+            a = random_matrix(ARITH, rng, 6, 8, density=0.5)
+            b = random_matrix(ARITH, rng, 8, 7, density=0.5)
+            mask = random_matrix(XOR, rng, 6, 7, density=0.5)
+            want = kernels._mxm(ARITH, a, b, mask)
+            got = kernels._mxm(ARITH, a, widen(ARITH, b, wide),
+                               widen(XOR, mask, wide))
+            assert np.array_equal(got.indptr, want.indptr)
+            assert got.indices.tolist() == wide[want.indices].tolist()
+            assert got.values.tolist() == want.values.tolist()
+
+
+class TestChunkedFold:
+    """Every block of `_mxm`, vxm's one row included, feeds the
+    accumulator its products a chunk of `_VXM_CHUNK_PRODUCTS` at a time."""
+
+    @staticmethod
+    def _chunk_sizes(monkeypatch):
+        sizes = []
+        real = kernels._accumulate
+
+        def spy(sr, nslots, chunks, keep=None):
+            chunks = list(chunks)
+            sizes.append([len(slots) for slots, _ in chunks])
+            return real(sr, nslots, chunks, keep)
+
+        monkeypatch.setattr(kernels, "_accumulate", spy)
+        return sizes
+
+    def test_one_heavy_row(self, monkeypatch):
+        # f stores 5 vertices of 2 out-edges each: 10 products in one
+        # row, folded 4, 4 and 2 at a time
+        a = gm.build(ARITH, (5, 6), ([k // 2 for k in range(10)],
+                                     [k % 6 for k in range(10)],
+                                     [float(k + 1) for k in range(10)]))
+        f = gm.build(ARITH, (1, 5), ([0] * 5, range(5), [1.0, 2, 3, 4, 5]))
+        whole = gm.vxm(ARITH, f, a)
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 4)
+        sizes = self._chunk_sizes(monkeypatch)
+        assert gm.vxm(ARITH, f, a) == whole
+        assert sizes == [[4, 4, 2]]
+
+    def test_blocks_of_many_rows(self, monkeypatch):
+        rng = random.Random(73)
+        a = random_matrix(ARITH, rng, 9, 8, density=0.5)
+        b = random_matrix(ARITH, rng, 8, 7, density=0.5)
+        whole = gm.mxm(ARITH, a, b)
+        monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 12)
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 3)
+        sizes = self._chunk_sizes(monkeypatch)
+        got = gm.mxm(ARITH, a, b)
+        assert np.array_equal(got.indptr, whole.indptr)
+        assert np.array_equal(got.indices, whole.indices)
+        assert got.values.tobytes() == whole.values.tobytes()
+        assert len(sizes) > 1 and any(len(block) > 1 for block in sizes)
+        # a chunk ends at the first entry that reaches the cap, so it
+        # exceeds the cap by less than one entry's products (at most 7)
+        assert all(s <= 3 + 7 for block in sizes for s in block)

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 
@@ -254,3 +255,23 @@ class TestOrder:
         cols = rng.integers(0, dims[1], 5000)
         assert np.array_equal(_order(rows, cols, *dims),
                               np.lexsort((cols, rows)))
+
+
+class TestConvertMixedPythonInts:
+    """numpy reads a list holding 2**63 beside a small int as float64,
+    which rounds 2**63 + 1 and cannot hold 2**64 - 1."""
+
+    SET64 = gm.semiring_by_name("union-intersect", universe_size=64)
+
+    def test_set_values_above_int64_kept_exactly(self):
+        vals = [2**63 | 1, 1, 2**64 - 1, 0xF0F0]
+        a = gm.build(self.SET64, (1, 4), ([0] * 4, range(4), vals))
+        assert a.values.dtype == np.uint64
+        assert a.values.tolist() == vals
+
+    def test_mixed_list_still_checked(self):
+        for bad in ([2**63, -1], [2**63, 2.5], [2**64, 1], [2**63, math.nan]):
+            with pytest.raises(DomainError):
+                gm.build(self.SET64, (1, 2), ([0, 0], [0, 1], bad))
+        ints = gm.build(self.SET64, (1, 2), ([0, 0], [0, 1], [2.0, 2**63]))
+        assert ints.values.tolist() == [2, 2**63]
