@@ -141,9 +141,7 @@ def cmd_adjacency(args):
     if args.edges:
         edges = fileio.read_edge_list(args.edges, one_based=args.one_based,
                                       value_parser=sr.domain.parse_text)
-        n = fileio.vertex_count_from_edges(edges) if edges else 1
-        if args.vertices:
-            n = max(n, args.vertices)
+        n = max(edges.n_vertices, args.vertices or 0)
         e_out, e_in = fileio.incidence_from_edges(sr, edges, n,
                                                   use_weights=True)
     else:

@@ -3,35 +3,61 @@
 TSV edge lists are 0-based by default (a flag shifts them); Matrix
 Market coordinate files are 1-based on disk, as the format requires.
 Files are UTF-8 text. Plain numeric files are parsed a column at a
-time; any other goes through the line parser, whose errors carry file
-and line context.
+time, any other by the line parser, whose errors give file and line.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .algebra import Semiring
 from .errors import FormatError, IndexBoundsError
+from .kernels import _ranges
 from .matrix import SparseMatrix, build, extract_tuples
 
 
-@dataclass
-class EdgeRecord:
-    """One logical edge: simple, multi-, or hyper-."""
+@dataclass(eq=False)
+class EdgeColumns:
+    """Edge records as incidence columns: for each side, the edge id and
+    vertex of every (edge, vertex) pair as int64 arrays in file order,
+    and one weight per edge, None where the line gives none (the
+    multiplicative identity). len() is the number of edges."""
 
-    out_vertices: list
-    in_vertices: list
-    weight: object = None  # None means the multiplicative identity
-    edge_id: int | None = None
-    line: int | None = None
+    out_edges: np.ndarray
+    out_vertices: np.ndarray
+    in_edges: np.ndarray
+    in_vertices: np.ndarray
+    weights: list
+
+    @classmethod
+    def from_groups(cls, outs, ins, weights):
+        """Columns of per-edge vertex groups, each vertex within int64."""
+        try:
+            sides = [(np.repeat(np.arange(len(g)), list(map(len, g))),
+                      np.array(list(chain.from_iterable(g)), dtype=np.int64))
+                     for g in (outs, ins)]
+        except OverflowError:
+            raise IndexBoundsError("index outside the int64 range") from None
+        return cls(*sides[0], *sides[1], weights)
+
+    def __len__(self):
+        return len(self.weights)
 
     @property
-    def is_hyper(self):
-        return len(self.out_vertices) + len(self.in_vertices) > 2
+    def n_vertices(self):
+        """One more than the largest vertex; 1 for no edges."""
+        return int(max(self.out_vertices.max(initial=0),
+                       self.in_vertices.max(initial=0))) + 1
+
+    def weight_array(self, default):
+        """Each edge's weight in an object array, `default` where none."""
+        w = np.array(self.weights, dtype=object)
+        return np.where(np.equal(w, None), default, w)
 
 
 @contextmanager
@@ -44,12 +70,16 @@ def _text(path):
         raise FormatError(f"not UTF-8 text ({exc.reason})", path) from None
 
 
-def _plain_columns(text, sep, widths, shift):
+_SKIPPED = re.compile(r"^[ \t]*(?:#.*)?(?:\n|\Z)", re.M)  # blank, comment
+
+
+def _plain_columns(text, sep, widths, shift, skipped=None):
     """(rows, cols, fields, width) of a text whose every line holds the
     same number (one of `widths`) of `sep`-separated fields, the first
     two of them integers: rows and cols less `shift` as int64 arrays,
     converted by numpy with int(). ValueError, or OverflowError for an
-    integer beyond int64, on any other text."""
+    integer beyond int64, on any other text. A text of unequal lines is
+    tried once more without the lines the `skipped` pattern matches."""
     body = text.rstrip("\n")  # blank lines at the end are skipped
     buf = np.frombuffer(body.encode(), dtype=np.uint8)
     marks = buf == ord(sep)
@@ -57,7 +87,9 @@ def _plain_columns(text, sep, widths, shift):
                        append=np.count_nonzero(marks))
     width = int(per_line[0]) + 1
     if width not in widths or (per_line != per_line[0]).any():
-        raise ValueError("lines of another or unequal width")
+        if skipped is None:
+            raise ValueError("lines of another or unequal width")
+        return _plain_columns(skipped.sub("", text), sep, widths, shift)
     fields = body.replace("\n", sep).split(sep)
     rows, cols = (np.array(fields[k::width], dtype=np.int64) - shift
                   for k in (0, 1))
@@ -66,17 +98,14 @@ def _plain_columns(text, sep, widths, shift):
 
 def _parse_vertex_group(text, path, lineno, shift):
     out = []
-    for tok in text.split(","):
+    for tok in text.split(","):  # never empty: "".split(",") == [""]
         try:
-            v = int(tok)
+            v = int(tok) - shift
         except ValueError:
             raise FormatError(f"bad vertex index {tok!r}", path, lineno)
-        v -= shift
         if v < 0:
             raise FormatError(f"negative vertex index {v}", path, lineno)
         out.append(v)
-    if not out:
-        raise FormatError("empty vertex group", path, lineno)
     return out
 
 
@@ -95,53 +124,39 @@ def _default_value_parser(text):
 
 
 def read_edge_list(path, one_based=False, value_parser=None):
-    """Parse a TSV edge-list file into EdgeRecords.
-
-    Plain form: ``out<TAB>in[<TAB>weight]`` where out/in may be
-    comma-joined vertex groups (hyper-edges). A labeled form
-    ``e12: out=4 in=3,5 [w=0.5]`` is also accepted. Blank lines and
-    ``#`` comments are skipped.
-    """
+    """Parse a TSV edge-list file into EdgeColumns, line by line: plain
+    ``out<TAB>in[<TAB>weight]`` lines, whose out/in may be comma-joined
+    vertex groups (hyper-edges), and labeled ``e12: out=4 in=3,5
+    [w=0.5]`` lines. Blank lines and ``#`` comments are skipped."""
     value_parser = value_parser or _default_value_parser
     shift = 1 if one_based else 0
-    records = []
+    outs, ins, weights = [], [], []
     with _text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            if "out=" in line:
-                records.append(
-                    _parse_labeled(line, path, lineno, shift, value_parser))
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise FormatError(
-                    f"expected 2 or 3 tab-separated fields, got {len(parts)}",
-                    path, lineno)
-            outs = _parse_vertex_group(parts[0], path, lineno, shift)
-            ins = _parse_vertex_group(parts[1], path, lineno, shift)
-            weight = None
-            if len(parts) == 3:
-                weight = _parse_weight(parts[2], path, lineno, value_parser)
-            records.append(EdgeRecord(outs, ins, weight, line=lineno))
-    return records
+            parse = _parse_labeled if "out=" in line else _parse_plain
+            record = parse(line, path, lineno, shift, value_parser)
+            for column, item in zip((outs, ins, weights), record):
+                column.append(item)
+    return EdgeColumns.from_groups(outs, ins, weights)
 
 
 def read_triples(path, one_based=False, value_parser=None, default=1):
     """(rows, cols, vals, n) of a TSV edge list, as read_edge_list,
-    triples_from_edges(edges, default) and vertex_count_from_edges give
-    them, errors included. Plain lines of equal width are parsed a
-    column at a time, rows and cols as int64 arrays; any other file
-    goes through read_edge_list."""
+    triples_from_edges(edges, default) and edges.n_vertices give them,
+    errors included. Plain lines of equal width, blank and `#` comment
+    lines aside, are parsed a column at a time, rows and cols as int64
+    arrays; any other file goes through read_edge_list."""
     parse = value_parser or _default_value_parser
     with _text(path) as fh:
         text = fh.read()
     try:
         if "out=" in text:
             raise ValueError("labeled line")
-        rows, cols, fields, width = _plain_columns(text, "\t", (2, 3),
-                                                   1 if one_based else 0)
+        rows, cols, fields, width = _plain_columns(
+            text, "\t", (2, 3), 1 if one_based else 0, _SKIPPED)
         if (rows < 0).any() or (cols < 0).any():
             raise ValueError("negative vertex index")
         vals = (list(map(parse, fields[2::3])) if width == 3
@@ -149,90 +164,79 @@ def read_triples(path, one_based=False, value_parser=None, default=1):
         return rows, cols, vals, int(max(rows.max(), cols.max())) + 1
     except (ValueError, TypeError, OverflowError):
         edges = read_edge_list(path, one_based, value_parser)
-        return (*triples_from_edges(edges, default),
-                vertex_count_from_edges(edges))
+        return (*triples_from_edges(edges, default), edges.n_vertices)
+
+
+def _parse_plain(line, path, lineno, shift, value_parser):
+    """(outs, ins, weight or None) of ``out<TAB>in[<TAB>weight]``."""
+    parts = line.split("\t")
+    if len(parts) not in (2, 3):
+        raise FormatError(
+            f"expected 2 or 3 tab-separated fields, got {len(parts)}",
+            path, lineno)
+    return (_parse_vertex_group(parts[0], path, lineno, shift),
+            _parse_vertex_group(parts[1], path, lineno, shift),
+            _parse_weight(parts[2], path, lineno, value_parser)
+            if len(parts) == 3 else None)
 
 
 def _parse_labeled(line, path, lineno, shift, value_parser):
+    """(outs, ins, weight or None) of ``[label:] out=.. in=.. [w=..]``."""
     tokens = line.split()
-    edge_id = None
     if tokens and tokens[0].endswith(":"):
-        label = tokens.pop(0)[:-1]
-        digits = "".join(ch for ch in label if ch.isdigit())
-        edge_id = int(digits) if digits else None
-    outs = ins = None
-    weight = None
+        tokens.pop(0)  # the edge's label, a name only
+    found = {}
     for tok in tokens:
         if "=" not in tok:
             raise FormatError(f"bad token {tok!r} in labeled edge",
                               path, lineno)
         key, _, val = tok.partition("=")
-        if key == "out":
-            outs = _parse_vertex_group(val, path, lineno, shift)
-        elif key == "in":
-            ins = _parse_vertex_group(val, path, lineno, shift)
+        if key in ("out", "in"):
+            found[key] = _parse_vertex_group(val, path, lineno, shift)
         elif key in ("w", "weight"):
-            weight = _parse_weight(val, path, lineno, value_parser)
+            found["w"] = _parse_weight(val, path, lineno, value_parser)
         else:
             raise FormatError(f"unknown key {key!r} in labeled edge",
                               path, lineno)
-    if outs is None or ins is None:
+    if "out" not in found or "in" not in found:
         raise FormatError("labeled edge needs both out= and in=",
                           path, lineno)
-    return EdgeRecord(outs, ins, weight, edge_id=edge_id, line=lineno)
+    return found["out"], found["in"], found.get("w")
 
 
 def incidence_from_edges(sr: Semiring, edges, n_vertices,
                          use_weights=False):
-    """Build the (e_out, e_in) incidence pair, one row per edge.
-
-    Entries are the multiplicative identity; with use_weights=True the
-    in-incidence carries each edge's weight instead.
-    """
-    n_edges = len(edges)
-    out_r, out_c, out_v = [], [], []
-    in_r, in_c, in_v = [], [], []
-    for k, e in enumerate(edges):
-        for u in e.out_vertices:
-            if u >= n_vertices:
-                raise IndexBoundsError(
-                    f"edge {k}: out-vertex {u} outside [0, {n_vertices})")
-            out_r.append(k)
-            out_c.append(u)
-            out_v.append(sr.one)
-        w = e.weight if (use_weights and e.weight is not None) else sr.one
-        for v in e.in_vertices:
-            if v >= n_vertices:
-                raise IndexBoundsError(
-                    f"edge {k}: in-vertex {v} outside [0, {n_vertices})")
-            in_r.append(k)
-            in_c.append(v)
-            in_v.append(w)
-    dims = (max(n_edges, 1), n_vertices)
-    e_out = build(sr, dims, (out_r, out_c, out_v))
-    e_in = build(sr, dims, (in_r, in_c, in_v))
-    return e_out, e_in
+    """The (e_out, e_in) incidence pair, one row per edge. Entries are
+    the multiplicative identity; with use_weights=True the in-incidence
+    carries each edge's weight instead."""
+    ids = np.concatenate((edges.out_edges, edges.in_edges))
+    vertices = np.concatenate((edges.out_vertices, edges.in_vertices))
+    bad = np.flatnonzero(vertices >= n_vertices)
+    if len(bad):  # the first such edge's, out-vertices before in-vertices
+        k = bad[np.argmin(ids[bad])]
+        side = "out" if k < len(edges.out_edges) else "in"
+        raise IndexBoundsError(f"edge {ids[k]}: {side}-vertex {vertices[k]} "
+                               f"outside [0, {n_vertices})")
+    in_vals = (edges.weight_array(sr.one)[edges.in_edges].tolist()
+               if use_weights else [sr.one] * len(edges.in_edges))
+    dims = (max(len(edges), 1), n_vertices)
+    return (build(sr, dims, (edges.out_edges, edges.out_vertices,
+                             [sr.one] * len(edges.out_edges))),
+            build(sr, dims, (edges.in_edges, edges.in_vertices, in_vals)))
 
 
 def triples_from_edges(edges, default_weight):
-    """Flatten edge records to pairwise (row, col, val) triples; a
-    hyper-edge contributes its full out x in cross product."""
-    rows, cols, vals = [], [], []
-    for e in edges:
-        w = e.weight if e.weight is not None else default_weight
-        for u in e.out_vertices:
-            for v in e.in_vertices:
-                rows.append(u)
-                cols.append(v)
-                vals.append(w)
-    return rows, cols, vals
-
-
-def vertex_count_from_edges(edges):
-    top = 0
-    for e in edges:
-        top = max(top, *e.out_vertices, *e.in_vertices)
-    return top + 1
+    """Flatten edge columns to pairwise (row, col, val) triples, edge by
+    edge in file order; a hyper-edge contributes its full out x in cross
+    product, out-vertex major. Rows and cols are int64 arrays."""
+    in_counts = np.bincount(edges.in_edges, minlength=len(edges))
+    in_starts = np.cumsum(in_counts) - in_counts
+    per_out = in_counts[edges.out_edges]  # products of each out-vertex
+    rows = np.repeat(edges.out_vertices, per_out)
+    cols = edges.in_vertices[_ranges(in_starts[edges.out_edges], per_out)]
+    vals = edges.weight_array(default_weight)[
+        np.repeat(edges.out_edges, per_out)]
+    return rows, cols, vals.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +283,8 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
     """Read a coordinate-format Matrix Market file into a matrix over
     the given semiring's domain. Banner keywords are case-insensitive."""
     with _text(path) as fh:
-        header = fh.readline()
+        parts = fh.readline().split()
         lineno = 1
-        parts = header.strip().split()
         if (len(parts) != 5 or parts[0] != "%%MatrixMarket"
                 or parts[1].lower() != "matrix"):
             raise FormatError("not a Matrix Market matrix header",
@@ -295,14 +298,10 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
         if symmetry != "general":
             raise FormatError(f"unsupported symmetry {symmetry!r} "
                               "(only general)", path, lineno)
-        size_line = None
-        for raw in fh:
-            lineno += 1
-            if raw.startswith("%") or not raw.strip():
-                continue
-            size_line = raw
-            break
-        if size_line is None:
+        for lineno, size_line in enumerate(fh, start=2):
+            if size_line.strip() and not size_line.startswith("%"):
+                break
+        else:
             raise FormatError("missing size line", path, lineno)
         try:
             m, n, nnz = (int(t) for t in size_line.split())
@@ -339,13 +338,10 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
                 raise FormatError(
                     f"entry ({r + 1}, {c + 1}) outside declared "
                     f"{m} x {n} bounds", path, lineno)
-            if field == "pattern":
-                v = sr.one
-            else:
-                try:
-                    v = sr.domain.parse_text(toks[2])
-                except ValueError:
-                    raise FormatError(f"bad value {toks[2]!r}", path, lineno)
+            try:
+                v = sr.domain.parse_text(toks[2]) if toks[2:] else sr.one
+            except ValueError:
+                raise FormatError(f"bad value {toks[2]!r}", path, lineno)
             rows.append(r)
             cols.append(c)
             vals.append(v)

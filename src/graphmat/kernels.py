@@ -80,13 +80,16 @@ def _accumulate(sr, nslots, chunks, keep=None):
     into its slot in input order, left to right as _fold does. `keep`,
     a bool per slot, drops slots before the domain check.
     """
-    acc = _wide(np.full(nslots, sr.zero, dtype=sr.domain.dtype), sr.domain)
+    # ndarray methods: np.full's and np.flatnonzero's wrappers cost µs
+    acc = np.empty(nslots, dtype=sr.domain.dtype)
+    acc.fill(sr.zero)
+    acc = _wide(acc, sr.domain)
     for slots, prod in chunks:
         sr.add.ufunc.at(acc, slots, prod)
     nonzero = acc != sr.zero
     if keep is not None:
         nonzero &= keep
-    pos = np.flatnonzero(nonzero)
+    pos = nonzero.nonzero()[0]
     vals = _narrow(acc[pos], sr.domain)
     sr.domain.check_array(vals)
     return pos, vals

@@ -95,6 +95,8 @@ def dense_mxm(sr, a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
             acc = sr.zero
             started = False
             for k in range(a.ncols):
+                if a[i, k] == sr.zero or b[k, j] == sr.zero:
+                    continue  # as in mxm, 0 * inf must not give NaN
                 term = sr.mul(a[i, k], b[k, j])
                 if started:
                     acc = sr.add(acc, term)

@@ -223,6 +223,14 @@ class TestAdjacency:
     def test_missing_inputs_exit_2(self, capsys):
         assert main(["adjacency"]) == 2
 
+    @pytest.mark.parametrize("command", [["build"], ["adjacency", "--edges"]])
+    def test_label_with_non_ascii_digit(self, command, tmp_path, capsys):
+        # '²' passes str.isdigit but not int(); the label is only a name
+        p = tmp_path / "e.tsv"
+        p.write_text("e²: out=1 in=2\n")
+        assert main(command + [str(p)]) == 0
+        assert "3 x 3, 1 entries" in capsys.readouterr().out
+
 
 class TestAssignCmd:
     def test_assign_submatrix(self, tmp_path, capsys):

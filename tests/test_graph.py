@@ -92,9 +92,10 @@ class TestAdjacencyFromIncidence:
             n = rng.randint(2, 12)
             a = random_digraph(rng, n)
             tri = gm.extract_tuples(a)
-            records = [fileio.EdgeRecord([int(r)], [int(c)], v)
-                       for r, c, v in tri]
-            if not records:
+            records = fileio.EdgeColumns.from_groups(
+                [[int(r)] for r in tri.rows], [[int(c)] for c in tri.cols],
+                list(tri.vals))
+            if not len(records):
                 continue
             e_out, e_in = fileio.incidence_from_edges(ARITH, records, n)
             assert gm.adjacency_from_incidence(ARITH, e_out, e_in) == a

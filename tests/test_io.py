@@ -14,37 +14,40 @@ from conftest import DATA_DIR, get_semiring, random_matrix
 ARITH = gm.semiring_by_name("arith-real")
 
 
+def columns(edges):
+    """An EdgeColumns as lists: out edge ids and vertices, in edge ids
+    and vertices, weights."""
+    return (edges.out_edges.tolist(), edges.out_vertices.tolist(),
+            edges.in_edges.tolist(), edges.in_vertices.tolist(),
+            edges.weights)
+
+
 class TestReadEdgeList:
     def test_simple_weighted_line(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("0\t1\t0.5\n")
-        (rec,) = fileio.read_edge_list(p)
-        assert rec.out_vertices == [0]
-        assert rec.in_vertices == [1]
-        assert rec.weight == 0.5
-        assert not rec.is_hyper
+        assert columns(fileio.read_edge_list(p)) == \
+            ([0], [0], [0], [1], [0.5])
 
     def test_labeled_hyper_line(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("e12: out=4 in=3,5\n")
-        (rec,) = fileio.read_edge_list(p)
-        assert rec.edge_id == 12
-        assert rec.out_vertices == [4]
-        assert rec.in_vertices == [3, 5]
-        assert rec.is_hyper
+        assert columns(fileio.read_edge_list(p)) == \
+            ([0], [4], [0, 0], [3, 5], [None])
 
     def test_comma_group_hyper_line(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("1,2\t3,4\t2.0\n")
-        (rec,) = fileio.read_edge_list(p)
-        assert rec.out_vertices == [1, 2]
-        assert rec.in_vertices == [3, 4]
-        assert rec.weight == 2.0
+        assert columns(fileio.read_edge_list(p)) == \
+            ([0, 0], [1, 2], [0, 0], [3, 4], [2.0])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("")
-        assert fileio.read_edge_list(p) == []
+        edges = fileio.read_edge_list(p)
+        assert len(edges) == 0
+        assert columns(edges) == ([], [], [], [], [])
+        assert edges.out_edges.dtype == edges.in_vertices.dtype == np.int64
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "e.tsv"
@@ -74,9 +77,8 @@ class TestReadEdgeList:
     def test_one_based_shift(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("1\t2\n")
-        (rec,) = fileio.read_edge_list(p, one_based=True)
-        assert rec.out_vertices == [0]
-        assert rec.in_vertices == [1]
+        assert columns(fileio.read_edge_list(p, one_based=True)) == \
+            ([0], [0], [0], [1], [None])
 
 
 class TestIncidenceFromEdges:
@@ -88,21 +90,21 @@ class TestIncidenceFromEdges:
         assert e_out.nnz == e_in.nnz == 12
 
     def test_self_loop_marks_both(self):
-        rec = fileio.EdgeRecord([2], [2])
-        e_out, e_in = fileio.incidence_from_edges(ARITH, [rec], 4)
+        edges = fileio.EdgeColumns.from_groups([[2]], [[2]], [None])
+        e_out, e_in = fileio.incidence_from_edges(ARITH, edges, 4)
         assert e_out.get(0, 2) == 1.0
         assert e_in.get(0, 2) == 1.0
 
     def test_hyper_edge_row_has_two_entries(self):
-        rec = fileio.EdgeRecord([0], [1, 3])
-        _, e_in = fileio.incidence_from_edges(ARITH, [rec], 4)
+        edges = fileio.EdgeColumns.from_groups([[0]], [[1, 3]], [None])
+        _, e_in = fileio.incidence_from_edges(ARITH, edges, 4)
         cols, _ = e_in.row(0)
         assert cols.tolist() == [1, 3]
 
     def test_vertex_out_of_bounds(self):
-        rec = fileio.EdgeRecord([0], [9])
+        edges = fileio.EdgeColumns.from_groups([[0]], [[9]], [None])
         with pytest.raises(IndexBoundsError):
-            fileio.incidence_from_edges(ARITH, [rec], 4)
+            fileio.incidence_from_edges(ARITH, edges, 4)
 
     def test_projection_equals_direct_build(self, rng):
         # simple graphs: flattened triples and incidence projection agree
@@ -115,15 +117,117 @@ class TestIncidenceFromEdges:
                 if (u, v) in seen:
                     continue
                 seen.add((u, v))
-                records.append(fileio.EdgeRecord([u], [v],
-                                                 round(rng.uniform(1, 5), 2)))
+                records.append(([u], [v], round(rng.uniform(1, 5), 2)))
             if not records:
                 continue
+            records = fileio.EdgeColumns.from_groups(*zip(*records))
             e_out, e_in = fileio.incidence_from_edges(ARITH, records, n,
                                                       use_weights=True)
             direct = gm.build(ARITH, (n, n),
                               fileio.triples_from_edges(records, 1.0))
             assert gm.adjacency_from_incidence(ARITH, e_out, e_in) == direct
+
+
+def loop_triples(records, default_weight):
+    """triples_from_edges as a per-record loop over (outs, ins, weight)
+    records: the reference for the columnar form."""
+    rows, cols, vals = [], [], []
+    for outs, ins, weight in records:
+        w = weight if weight is not None else default_weight
+        for u in outs:
+            for v in ins:
+                rows.append(u)
+                cols.append(v)
+                vals.append(w)
+    return rows, cols, vals
+
+
+def loop_incidence(sr, records, n_vertices, use_weights=False):
+    """incidence_from_edges as a per-record loop: the reference for the
+    columnar form, error messages included."""
+    out_r, out_c, out_v = [], [], []
+    in_r, in_c, in_v = [], [], []
+    for k, (outs, ins, weight) in enumerate(records):
+        for u in outs:
+            if u >= n_vertices:
+                raise IndexBoundsError(
+                    f"edge {k}: out-vertex {u} outside [0, {n_vertices})")
+            out_r.append(k)
+            out_c.append(u)
+            out_v.append(sr.one)
+        w = weight if (use_weights and weight is not None) else sr.one
+        for v in ins:
+            if v >= n_vertices:
+                raise IndexBoundsError(
+                    f"edge {k}: in-vertex {v} outside [0, {n_vertices})")
+            in_r.append(k)
+            in_c.append(v)
+            in_v.append(w)
+    dims = (max(len(records), 1), n_vertices)
+    return (gm.build(sr, dims, (out_r, out_c, out_v)),
+            gm.build(sr, dims, (in_r, in_c, in_v)))
+
+
+GROUP = st.lists(st.integers(0, 12), min_size=1, max_size=3)
+RECORD = st.tuples(GROUP, GROUP, st.one_of(
+    st.none(), st.integers(-5, 5),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)))
+
+
+@st.composite
+def edge_files(draw):
+    """(text, one_based, records): a file of plain, comma-group and
+    labeled lines, some without weights and some repeated, with blank
+    and comment lines between them, and the records it holds."""
+    records = draw(st.lists(RECORD, max_size=10))
+    if records:
+        records += draw(st.lists(st.sampled_from(records), max_size=3))
+    one_based = draw(st.booleans())
+    lines = []
+    for k, (outs, ins, weight) in enumerate(records):
+        o, i = (",".join(str(v + one_based) for v in g) for g in (outs, ins))
+        if draw(st.booleans()):
+            w = "" if weight is None else f" w={weight!r}"
+            lines.append(f"e{k}: out={o} in={i}{w}")
+        else:
+            lines.append("\t".join([o, i] + ([] if weight is None
+                                              else [repr(weight)])))
+        lines += draw(st.lists(st.sampled_from(["", "# note", " "]),
+                               max_size=1))
+    return "\n".join(lines) + "\n", one_based, records
+
+
+class TestColumnsMatchRecordLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_files(), default=st.sampled_from([1, 2.5]),
+           use_weights=st.booleans(), short=st.integers(0, 3))
+    def test_triples_and_incidence(self, tmp_path_factory, case, default,
+                                   use_weights, short):
+        text, one_based, records = case
+        p = tmp_path_factory.mktemp("edges") / "e.tsv"
+        p.write_text(text)
+        edges = fileio.read_edge_list(p, one_based)
+        n = 1 + max([v for r in records for v in r[0] + r[1]], default=0)
+        assert (len(edges), edges.n_vertices) == (len(records), n)
+        rows, cols, vals = fileio.triples_from_edges(edges, default)
+        assert rows.dtype == cols.dtype == np.int64
+        loop_rows, loop_cols, loop_vals = loop_triples(records, default)
+        # repr tells an int weight from the default 2.5 or a float
+        assert (rows.tolist(), cols.tolist(), list(map(repr, vals))) == \
+            (loop_rows, loop_cols, list(map(repr, loop_vals)))
+        # with `short` > 0 some vertex may fall outside [0, n_vertices)
+        n_vertices = max(n - short, 1)
+        try:
+            expected = loop_incidence(ARITH, records, n_vertices,
+                                      use_weights)
+        except IndexBoundsError as exc:
+            with pytest.raises(IndexBoundsError) as err:
+                fileio.incidence_from_edges(ARITH, edges, n_vertices,
+                                            use_weights)
+            assert str(err.value) == str(exc)
+        else:
+            assert fileio.incidence_from_edges(
+                ARITH, edges, n_vertices, use_weights) == expected
 
 
 class TestMatrixMarket:
@@ -213,8 +317,7 @@ class TestWriteEdgeList:
 def reference_triples(path, one_based=False, value_parser=None, default=1):
     """read_triples by way of the line parser, as the CLI did before."""
     edges = fileio.read_edge_list(path, one_based, value_parser)
-    return (*fileio.triples_from_edges(edges, default),
-            fileio.vertex_count_from_edges(edges))
+    return (*fileio.triples_from_edges(edges, default), edges.n_vertices)
 
 
 def outcome(fn, *args):
@@ -282,6 +385,19 @@ class TestReadTriples:
         assert (rows.tolist(), cols.tolist(), vals, n) == \
             ([0, 3], [1, 0], [2.5, 1000.0], 4)
 
+    def test_comments_and_blank_lines_take_no_line_parser(
+            self, tmp_path, monkeypatch):
+        p = tmp_path / "e.tsv"
+        p.write_text("# Directed graph\n# FromNodeId\tToNodeId\n\n"
+                     "0\t1\t2.5\n  \n3\t0\t1e3\n\t# note\n2\t2\t4\n\n# end")
+        expected = outcome(reference_triples, p, False, float)
+        monkeypatch.setattr(fileio, "read_edge_list", None)
+        rows, cols, vals, n = fileio.read_triples(p, value_parser=float)
+        assert rows.dtype == cols.dtype == np.int64
+        assert outcome(fileio.read_triples, p, False, float) == expected
+        assert expected == ([0, 3, 2], [1, 0, 2],
+                            ["2.5", "1000.0", "4.0"], [4])
+
     def test_labeled_line_the_value_parser_would_accept(self, tmp_path):
         p = tmp_path / "e.tsv"
         p.write_text("0\t1\tout=2\n")
@@ -296,7 +412,8 @@ class TestReadTriples:
         rows, cols, vals, n = fileio.read_triples(p, default=7)
         assert (list(rows), list(cols), vals, n) == ([2], [0], [7], 3)
         p.write_text("")
-        assert fileio.read_triples(p) == ([], [], [], 1)
+        rows, cols, vals, n = fileio.read_triples(p)
+        assert (list(rows), list(cols), vals, n) == ([], [], [], 1)
 
 
 LONG = "".join(f"{k}\t{k + 1}\t1.5\n" for k in range(2000))

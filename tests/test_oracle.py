@@ -3,7 +3,7 @@ import math
 import pytest
 
 import graphmat as gm
-from graphmat import oracle
+from graphmat import kernels, oracle
 from graphmat.errors import GraphMatError
 
 from conftest import random_matrix
@@ -50,6 +50,24 @@ class TestDenseMxm:
         a.data = [[0.0, 2.0], [math.inf, 0.0]]
         c = oracle.dense_mxm(MINPLUS, a, a)
         assert c.data == [[0.0, 2.0], [math.inf, 0.0]]
+
+
+    @pytest.mark.parametrize("sr,inf", [(ARITH, math.inf),
+                                        (MINPLUS, -math.inf)])
+    def test_implicit_zero_times_inf_agrees_with_mxm(self, sr, inf):
+        # 0 * inf and inf + -inf are NaN: an implicit 0-element of one
+        # operand must never meet the other's stored inf
+        cases = [  # A empty times B = [inf]; then only k = 1 in both
+            (gm.empty_matrix(sr, 1, 1),
+             gm.build(sr, (1, 1), ([0], [0], [inf]))),
+            (gm.build(sr, (1, 2), ([0], [1], [2.0])),
+             gm.build(sr, (2, 1), ([0, 1], [0, 0], [inf, 3.0]))),
+        ]
+        for a, b in cases:
+            c = oracle.dense_mxm(sr, oracle.densify(a, sr.zero),
+                                 oracle.densify(b, sr.zero))
+            assert oracle.sparsify(c, sr.zero, sr.domain) == \
+                kernels.mxm(sr, a, b)
 
 
 class TestDenseEwise:
