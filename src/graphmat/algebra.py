@@ -275,7 +275,7 @@ def semiring_by_name(
     universe_size: int | None = None,
     variant: str | None = None,
 ) -> Semiring:
-    """Look up one of the eight named semirings.
+    """Look up one of the nine named semirings.
 
     `universe_size` is required for union-intersect. `variant` selects
     the sign convention for max-min / min-max: "nonneg" (default) or

@@ -22,11 +22,18 @@ EXIT_INTERNAL = 3
 
 
 def _semiring_from_args(args):
-    return semiring_by_name(args.semiring, universe_size=args.universe_size)
+    sr = semiring_by_name(args.semiring, universe_size=args.universe_size)
+    if args.universe_size is not None and sr.name != "union-intersect":
+        raise GraphMatError(
+            f"--universe-size applies only to union-intersect, not {sr.name}")
+    return sr
 
 
 def _load_matrix(path, args, sr):
     if args.format == "mm" or path.endswith((".mtx", ".mm")):
+        if args.vertices:
+            raise GraphMatError(
+                f"--vertices applies only to TSV input, not {path}")
         return fileio.read_matrix_market(path, sr)
     rows, cols, vals, n = fileio.read_triples(
         path, args.one_based, sr.domain.parse_text, sr.one)
@@ -35,9 +42,8 @@ def _load_matrix(path, args, sr):
     return build(sr, (n, n), (rows, cols, vals))
 
 
-def _emit(a, args, label=""):
-    prefix = f"{label}: " if label else ""
-    print(f"{prefix}{a.nrows} x {a.ncols}, {a.nnz} entries")
+def _emit(a, args):
+    print(f"{a.nrows} x {a.ncols}, {a.nnz} entries")
     if args.output:
         fileio.write_matrix_market(args.output, a)
         print(f"wrote {args.output}")
@@ -54,29 +60,23 @@ def _index_list(text, one_based):
     return [_index(t, one_based) for t in text.split(",") if t.strip()]
 
 
-def cmd_build(args):
+def _rows_cols(args):
+    rows = _index_list(args.rows, args.one_based)
+    return rows, _index_list(args.cols, args.one_based) if args.cols else rows
+
+
+def _run_matrix(args):
+    """Load the files `args.files` names, apply the subcommand's one
+    library call `args.op` and report (and write) the result."""
     sr = _semiring_from_args(args)
-    a = _load_matrix(args.input, args, sr)
-    _emit(a, args)
+    mats = [_load_matrix(getattr(args, f), args, sr) for f in args.files]
+    _emit(args.op(sr, args, *mats), args)
 
 
 def cmd_tuples(args):
     sr = _semiring_from_args(args)
     a = _load_matrix(args.input, args, sr)
     fileio._write_entries(sys.stdout, a, "\t", 1 if args.one_based else 0)
-
-
-def cmd_transpose(args):
-    sr = _semiring_from_args(args)
-    a = _load_matrix(args.input, args, sr)
-    _emit(transpose(a), args)
-
-
-def cmd_mxm(args):
-    sr = _semiring_from_args(args)
-    a = _load_matrix(args.input, args, sr)
-    b = _load_matrix(args.input_b, args, sr)
-    _emit(kernels.mxm(sr, a, b), args)
 
 
 def cmd_bfs(args):
@@ -103,39 +103,6 @@ def cmd_sssp(args):
         print(f"{v + shift}\t{'-' if math.isinf(d) else repr(d)}")
 
 
-def cmd_subgraph(args):
-    sr = _semiring_from_args(args)
-    a = _load_matrix(args.input, args, sr)
-    rows = _index_list(args.rows, args.one_based)
-    cols = _index_list(args.cols if args.cols else args.rows,
-                       args.one_based)
-    _emit(kernels.extract(a, rows, cols), args)
-
-
-def cmd_assign(args):
-    sr = _semiring_from_args(args)
-    target = _load_matrix(args.input, args, sr)
-    source = _load_matrix(args.source_matrix, args, sr)
-    rows = _index_list(args.rows, args.one_based)
-    cols = _index_list(args.cols if args.cols else args.rows,
-                       args.one_based)
-    _emit(kernels.assign(target, rows, cols, source), args)
-
-
-def cmd_union(args):
-    sr = _semiring_from_args(args)
-    a = _load_matrix(args.input, args, sr)
-    b = _load_matrix(args.input_b, args, sr)
-    _emit(graph.graph_union(sr, a, b), args)
-
-
-def cmd_intersect(args):
-    sr = _semiring_from_args(args)
-    a = _load_matrix(args.input, args, sr)
-    b = _load_matrix(args.input_b, args, sr)
-    _emit(graph.graph_intersection(sr, a, b), args)
-
-
 def cmd_adjacency(args):
     sr = _semiring_from_args(args)
     if args.edges:
@@ -155,6 +122,9 @@ def cmd_adjacency(args):
 
 
 def cmd_bench(args):
+    if args.scale_max < args.scale_min:
+        raise GraphMatError(f"--scale-max {args.scale_max} is below "
+                            f"--scale-min {args.scale_min}")
     scales = list(range(args.scale_min, args.scale_max + 1))
     reports = bench_mod.run_bench(
         args.op, scales, edge_factor=args.edge_factor,
@@ -172,86 +142,92 @@ def cmd_bench(args):
 
 
 def _make_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--semiring", default="arith-real",
-                        help="named semiring (default: arith-real)")
-    common.add_argument("--universe-size", type=int, default=None,
-                        help="set universe size for union-intersect")
-    common.add_argument("--format", choices=("tsv", "mm"), default="tsv",
+    # one parent per group of arguments that the same subcommands read
+    semiring = argparse.ArgumentParser(add_help=False)
+    semiring.add_argument("--semiring", default="arith-real",
+                          help="named semiring (default: arith-real)")
+    universe = argparse.ArgumentParser(add_help=False)
+    universe.add_argument("--universe-size", type=int, default=None,
+                          help="set universe size for union-intersect")
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("input")
+    infile.add_argument("--format", choices=("tsv", "mm"), default="tsv",
                         help="input file format (default: tsv; .mtx "
                              "files are detected as mm)")
-    common.add_argument("--one-based", action="store_true",
-                        help="treat TSV indices and CLI index lists "
-                             "as 1-based")
-    common.add_argument("--seed", type=int, default=1,
-                        help="64-bit seed for generated graphs")
-    common.add_argument("--output", default=None,
+    index = argparse.ArgumentParser(add_help=False)
+    index.add_argument("--one-based", action="store_true",
+                       help="treat TSV indices and CLI index lists "
+                            "as 1-based")
+    index.add_argument("--vertices", type=int, default=None,
+                       help="force at least this many vertices")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None,
                         help="write the resulting matrix here "
                              "(Matrix Market)")
-    common.add_argument("--vertices", type=int, default=None,
-                        help="force at least this many vertices")
+    reads = [semiring, universe, infile, index]
 
     p = argparse.ArgumentParser(
         prog="graphmat",
         description="Semiring sparse-matrix graph toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, fn, parents, help):
+        sp = sub.add_parser(name, parents=parents, help=help)
         sp.set_defaults(fn=fn)
         return sp
 
-    sp = add("build", cmd_build, help="build a matrix from a file")
-    sp.add_argument("input")
+    def matrix(name, help, op, *more):
+        # `op` takes the semiring, args and the matrices read from
+        # `input` and then from each positional in `more`
+        sp = add(name, _run_matrix, reads + [output], help)
+        for arg in more:
+            sp.add_argument(arg)
+        sp.set_defaults(op=op, files=("input",) + more)
+        return sp
 
-    sp = add("tuples", cmd_tuples, help="print stored entries")
-    sp.add_argument("input")
+    matrix("build", "build a matrix from a file", lambda sr, args, a: a)
+    add("tuples", cmd_tuples, reads, "print stored entries")
+    matrix("transpose", "transpose a matrix",
+           lambda sr, args, a: transpose(a))
+    matrix("mxm", "semiring matrix multiply",
+           lambda sr, args, a, b: kernels.mxm(sr, a, b), "input_b")
 
-    sp = add("transpose", cmd_transpose, help="transpose a matrix")
-    sp.add_argument("input")
-
-    sp = add("mxm", cmd_mxm, help="semiring matrix multiply")
-    sp.add_argument("input")
-    sp.add_argument("input_b")
-
-    sp = add("bfs", cmd_bfs, help="breadth-first search levels")
-    sp.add_argument("input")
+    sp = add("bfs", cmd_bfs, reads, "breadth-first search levels")
     sp.add_argument("--source", required=True,
                     help="comma-separated source vertices")
     sp.add_argument("--max-hops", type=int, default=None)
 
-    sp = add("sssp", cmd_sssp, help="min-plus shortest paths")
-    sp.add_argument("input")
+    sp = add("sssp", cmd_sssp, [infile, index], "min-plus shortest paths")
     sp.add_argument("--source", required=True)
 
-    sp = add("subgraph", cmd_subgraph, help="extract a sub-matrix")
-    sp.add_argument("input")
+    sp = matrix("subgraph", "extract a sub-matrix",
+                lambda sr, args, a: kernels.extract(a, *_rows_cols(args)))
     sp.add_argument("--rows", required=True)
     sp.add_argument("--cols", default=None)
 
-    sp = add("assign", cmd_assign, help="write a matrix into another")
-    sp.add_argument("input")
+    sp = matrix("assign", "write a matrix into another",
+                lambda sr, args, c, a: kernels.assign(c, *_rows_cols(args), a))
     sp.add_argument("--source-matrix", required=True)
+    sp.set_defaults(files=("input", "source_matrix"))
     sp.add_argument("--rows", required=True)
     sp.add_argument("--cols", default=None)
 
-    sp = add("union", cmd_union, help="element-wise add of two graphs")
-    sp.add_argument("input")
-    sp.add_argument("input_b")
+    matrix("union", "element-wise add of two graphs",
+           lambda sr, args, a, b: graph.graph_union(sr, a, b), "input_b")
+    matrix("intersect", "element-wise multiply of two graphs",
+           lambda sr, args, a, b: graph.graph_intersection(sr, a, b),
+           "input_b")
 
-    sp = add("intersect", cmd_intersect,
-             help="element-wise multiply of two graphs")
-    sp.add_argument("input")
-    sp.add_argument("input_b")
-
-    sp = add("adjacency", cmd_adjacency,
-             help="project an incidence pair to an adjacency matrix")
+    sp = add("adjacency", cmd_adjacency, [semiring, universe, index, output],
+             "project an incidence pair to an adjacency matrix")
     sp.add_argument("--out-incidence", default=None)
     sp.add_argument("--in-incidence", default=None)
     sp.add_argument("--edges", default=None,
                     help="edge-list file (builds the incidence pair)")
 
-    sp = add("bench", cmd_bench, help="API-overhead benchmark")
+    sp = add("bench", cmd_bench, [semiring], "API-overhead benchmark")
+    sp.add_argument("--seed", type=int, default=1,
+                    help="64-bit seed for generated graphs")
     sp.add_argument("--op", required=True,
                     choices=bench_mod.BENCH_OPERATIONS)
     sp.add_argument("--scale-min", type=int, default=10)

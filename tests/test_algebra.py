@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from graphmat import algebra
+import graphmat as gm
+from graphmat import algebra, oracle
 from graphmat.algebra import (
     BinaryOp,
     LawViolation,
@@ -19,7 +20,8 @@ from graphmat.algebra import (
 )
 from graphmat.errors import DomainError
 
-from conftest import NAMED_SEMIRINGS, get_semiring
+from conftest import (NAMED_SEMIRINGS, assert_matches_dense, get_semiring,
+                      random_matrix)
 
 
 class TestSemiringLookup:
@@ -143,6 +145,18 @@ class TestLaws:
         for a in (0, 1):
             assert sr.mul(a, a) == a
             assert sr.add(a, a) == 0
+
+    def test_or_and_laws_and_mxm(self):
+        # the boolean structure semiring, outside NAMED_SEMIRINGS
+        sr = semiring_by_name("or-and")
+        rng = random.Random(5)
+        verify_semiring_laws(sr, rng, samples=2000)
+        for _ in range(20):
+            a = random_matrix(sr, rng, 6, 5, density=0.4)
+            b = random_matrix(sr, rng, 5, 7, density=0.4)
+            want = oracle.dense_mxm(sr, oracle.densify(a, 0),
+                                    oracle.densify(b, 0))
+            assert_matches_dense(gm.mxm(sr, a, b), want, 0)
 
     def test_user_semiring_law_check_rejects_bad_op(self):
         minus = BinaryOp("minus", operator.sub, commutative=False,

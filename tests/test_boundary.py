@@ -1,5 +1,6 @@
-"""The multiply paths against the dense oracle on each domain's edge
-values: results are equal, or both sides raise DomainError.
+"""The multiply, element-wise, extract and assign paths against the dense
+oracle on each domain's edge values: results are equal, or both sides
+raise DomainError.
 
 Block and chunk caps of 3 and 2 products split blocks, chunks and heavy
 rows; the sort-and-fold path is forced by making `_dense` refuse every
@@ -48,24 +49,34 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:invalid value encountered:RuntimeWarning")
 
 
+def _matrix(draw, name, nrows, ncols):
+    """An nrows x ncols matrix over CASES[name], each cell empty or one
+    of its edge values."""
+    sr, pool = CASES[name]
+    cells = draw(st.lists(st.one_of(st.none(), st.sampled_from(pool)),
+                          min_size=nrows * ncols, max_size=nrows * ncols))
+    at = [p for p, v in enumerate(cells) if v is not None]
+    return gm.build(sr, (nrows, ncols), ([p // ncols for p in at],
+                                         [p % ncols for p in at],
+                                         [cells[p] for p in at]))
+
+
 @st.composite
 def operands(draw):
     """A semiring name, then A (m x k), B (k x n) and a row vector u
     (1 x k) over it, their entries drawn from its edge values."""
     name = draw(st.sampled_from(sorted(CASES)))
-    sr, pool = CASES[name]
     m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    return (name, _matrix(draw, name, m, k), _matrix(draw, name, k, n),
+            _matrix(draw, name, 1, k))
 
-    def matrix(nrows, ncols):
-        cells = draw(st.lists(st.one_of(st.none(), st.sampled_from(pool)),
-                              min_size=nrows * ncols,
-                              max_size=nrows * ncols))
-        at = [p for p, v in enumerate(cells) if v is not None]
-        return gm.build(sr, (nrows, ncols), ([p // ncols for p in at],
-                                             [p % ncols for p in at],
-                                             [cells[p] for p in at]))
 
-    return name, matrix(m, k), matrix(k, n), matrix(1, k)
+@st.composite
+def pairs(draw):
+    """A semiring name, then A and B of one shape m x n over it."""
+    name = draw(st.sampled_from(sorted(CASES)))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return name, _matrix(draw, name, m, n), _matrix(draw, name, m, n)
 
 
 def _dense(a, zero):
@@ -99,6 +110,15 @@ def _reference(sr, a, b, keep):
             if v != sr.zero and not sr.domain.contains(v):
                 raise DomainError(f"{v!r} is not in domain {sr.domain.name}")
             want[i, j] = v
+    return want
+
+
+def _in_domain(sr, want):
+    """`want`, or DomainError if a value it stores left the domain."""
+    for row in want.data:
+        for v in row:
+            if v != sr.zero and not sr.domain.contains(v):
+                raise DomainError(f"{v!r} is not in domain {sr.domain.name}")
     return want
 
 
@@ -176,3 +196,47 @@ class TestMultiplyAtDomainEdges:
             _agree(sr, lambda: gm.mxv(sr, a, v, mask=mask,
                                       complement=complement),
                    lambda: _reference(sr, a, v, lambda i, j: keep(i)))
+
+
+class TestElementwiseAtDomainEdges:
+    @pytest.mark.parametrize("kernel", ["ewise_add", "ewise_mult"])
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    @settings(max_examples=100, deadline=None)
+    @given(ops=pairs())
+    def test_ewise(self, kernel, op, ops):
+        name, a, b = ops
+        sr = CASES[name][0]
+        fn = getattr(sr, op)
+        dense = getattr(oracle, f"dense_{kernel}")
+        _agree(sr, lambda: getattr(gm, kernel)(fn, sr.zero, a, b),
+               lambda: _in_domain(sr, dense(fn, sr.zero, _dense(a, sr.zero),
+                                            _dense(b, sr.zero))))
+
+
+class TestExtractAssignAtDomainEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(ops=pairs(), data=st.data())
+    def test_extract(self, ops, data):
+        name, a, _ = ops
+        sr = CASES[name][0]
+        i = data.draw(st.lists(st.integers(0, a.nrows - 1), min_size=1,
+                               max_size=6))
+        j = data.draw(st.lists(st.integers(0, a.ncols - 1), min_size=1,
+                               max_size=6))
+        _agree(sr, lambda: gm.extract(a, i, j),
+               lambda: oracle.dense_extract(_dense(a, sr.zero), i, j,
+                                            sr.zero))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=pairs(), data=st.data())
+    def test_assign(self, ops, data):
+        name, c, _ = ops
+        sr = CASES[name][0]
+        i = data.draw(st.lists(st.integers(0, c.nrows - 1), min_size=1,
+                               max_size=c.nrows, unique=True))
+        j = data.draw(st.lists(st.integers(0, c.ncols - 1), min_size=1,
+                               max_size=c.ncols, unique=True))
+        a = _matrix(data.draw, name, len(i), len(j))
+        _agree(sr, lambda: gm.assign(c, i, j, a),
+               lambda: oracle.dense_assign(_dense(c, sr.zero), i, j,
+                                           _dense(a, sr.zero), sr.zero))

@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -15,6 +16,58 @@ EDGES = str(DATA_DIR / "seven_vertex_edges.tsv")
 ADJ_MM = str(DATA_DIR / "seven_vertex_adjacency.mtx")
 E_OUT_MM = str(DATA_DIR / "seven_vertex_e_out.mtx")
 E_IN_MM = str(DATA_DIR / "seven_vertex_e_in.mtx")
+INPUT = {"--semiring", "--universe-size", "--format", "--one-based",
+         "--vertices"}
+MATRIX = INPUT | {"--output"}
+# the subcommands in `graphmat --help` order, each with the shared
+# options its handler reads and its own arguments
+SUBCOMMANDS = {
+    "build": MATRIX | {"input"},
+    "tuples": INPUT | {"input"},
+    "transpose": MATRIX | {"input"},
+    "mxm": MATRIX | {"input", "input_b"},
+    "bfs": INPUT | {"input", "--source", "--max-hops"},
+    "sssp": {"--format", "--one-based", "--vertices", "input", "--source"},
+    "subgraph": MATRIX | {"input", "--rows", "--cols"},
+    "assign": MATRIX | {"input", "--source-matrix", "--rows", "--cols"},
+    "union": MATRIX | {"input", "input_b"},
+    "intersect": MATRIX | {"input", "input_b"},
+    "adjacency": {"--semiring", "--universe-size", "--one-based",
+                  "--vertices", "--output", "--out-incidence",
+                  "--in-incidence", "--edges"},
+    "bench": {"--semiring", "--seed", "--op", "--scale-min", "--scale-max",
+              "--edge-factor", "--trials"},
+}
+
+
+class TestOptions:
+    def test_each_subcommand_takes_only_what_it_reads(self):
+        sub, = [a for a in _make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {a.option_strings[0] if a.option_strings else a.dest
+                      for a in sp._actions if a.dest != "help"}
+               for name, sp in sub.choices.items()}
+        assert list(got) == list(SUBCOMMANDS)
+        assert got == SUBCOMMANDS
+        assert sum(map(len, got.values())) == 91
+
+    @pytest.mark.parametrize("argv", [
+        ["build", EDGES, "--seed", "3"],
+        ["bfs", EDGES, "--source", "0", "--output", "o.mtx"],
+        ["sssp", EDGES, "--source", "0", "--semiring", "max-plus"],
+        ["adjacency", "--edges", EDGES, "--format", "tsv"],
+        ["bench", "--op", "mxv", "--scale-min", "5", "--scale-max", "5",
+         "--edge-factor", "4", "--trials", "1", "--vertices", "5"],
+    ])
+    def test_unread_option_is_a_usage_error(self, argv, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestBuild:
@@ -77,6 +130,16 @@ class TestBuild:
         assert run.returncode == 2, run.stderr
         assert "row dimension" in run.stderr
         assert "100000000001 rows" in run.stderr
+
+    def test_vertices_on_matrix_market_exit_2(self, capsys):
+        # a Matrix Market file states its own shape
+        assert main(["build", ADJ_MM, "--vertices", "20"]) == 2
+        assert "--vertices" in capsys.readouterr().err
+
+    def test_universe_size_outside_union_intersect_exit_2(self, capsys):
+        assert main(["build", EDGES, "--semiring", "arith-real",
+                     "--universe-size", "3"]) == 2
+        assert "--universe-size" in capsys.readouterr().err
 
     def test_build_writes_matrix_market(self, tmp_path, capsys):
         out = tmp_path / "a.mtx"
@@ -279,6 +342,11 @@ class TestBench:
     def test_scale_guard(self, capsys):
         assert main(["bench", "--op", "mxv", "--scale-min", "20",
                      "--scale-max", "20"]) == 2
+
+    def test_empty_scale_range_exit_2(self, capsys):
+        assert main(["bench", "--op", "mxm", "--scale-min", "5",
+                     "--scale-max", "4"]) == 2
+        assert "--scale-max" in capsys.readouterr().err
 
     def test_unknown_operation_rejected(self, capsys):
         import pytest
