@@ -7,6 +7,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -29,9 +30,13 @@ def _semiring_from_args(args):
     return sr
 
 
+def _is_mm(path, args):
+    return args.format == "mm" or path.endswith((".mtx", ".mm"))
+
+
 def _load_matrix(path, args, sr):
-    if args.format == "mm" or path.endswith((".mtx", ".mm")):
-        if args.vertices:
+    if _is_mm(path, args):
+        if args.vertices is not None:
             raise GraphMatError(
                 f"--vertices applies only to TSV input, not {path}")
         return fileio.read_matrix_market(path, sr)
@@ -68,8 +73,13 @@ def _rows_cols(args):
 def _run_matrix(args):
     """Load the files `args.files` names, apply the subcommand's one
     library call `args.op` and report (and write) the result."""
+    paths = [getattr(args, f) for f in args.files]
+    if (args.one_based and "rows" not in args  # --rows reads it too
+            and all(_is_mm(p, args) for p in paths)):
+        raise GraphMatError("--one-based applies only to TSV input and "
+                            "index lists; Matrix Market is 1-based")
     sr = _semiring_from_args(args)
-    mats = [_load_matrix(getattr(args, f), args, sr) for f in args.files]
+    mats = [_load_matrix(p, args, sr) for p in paths]
     _emit(args.op(sr, args, *mats), args)
 
 
@@ -85,11 +95,10 @@ def cmd_bfs(args):
     shift = 1 if args.one_based else 0
     sources = _index_list(args.source, args.one_based)
     result = graph.bfs_levels(a, sources, max_hops=args.max_hops)
-    print("vertex\tlevel\tparent")
-    for v, (lvl, par) in enumerate(zip(result.levels, result.parents)):
-        lvl_s = "-" if lvl is None else str(lvl)
-        par_s = "-" if par is None else str(par + shift)
-        print(f"{v + shift}\t{lvl_s}\t{par_s}")
+    sys.stdout.write("".join(["vertex\tlevel\tparent\n"] + [
+        f"{v + shift}\t{'-' if lvl is None else lvl}\t"
+        f"{'-' if par is None else par + shift}\n"
+        for v, (lvl, par) in enumerate(zip(result.levels, result.parents))]))
 
 
 def cmd_sssp(args):
@@ -98,14 +107,18 @@ def cmd_sssp(args):
     source = _index(args.source, args.one_based)
     dist = graph.sssp_minplus(a, source)
     shift = 1 if args.one_based else 0
-    print("vertex\tdistance")
-    for v, d in enumerate(dist):
-        print(f"{v + shift}\t{'-' if math.isinf(d) else repr(d)}")
+    sys.stdout.write("".join(["vertex\tdistance\n"] + [
+        f"{v + shift}\t{'-' if math.isinf(d) else repr(d)}\n"
+        for v, d in enumerate(dist)]))
 
 
 def cmd_adjacency(args):
     sr = _semiring_from_args(args)
     if args.edges:
+        if args.out_incidence or args.in_incidence:
+            flag = "--out" if args.out_incidence else "--in"
+            raise GraphMatError(f"{flag}-incidence cannot be combined "
+                                "with --edges")
         edges = fileio.read_edge_list(args.edges, one_based=args.one_based,
                                       value_parser=sr.domain.parse_text)
         n = max(edges.n_vertices, args.vertices or 0)
@@ -116,6 +129,9 @@ def cmd_adjacency(args):
             raise GraphMatError(
                 "adjacency needs --edges or both --out-incidence "
                 "and --in-incidence")
+        if args.vertices is not None or args.one_based:
+            flag = "--vertices" if args.vertices is not None else "--one-based"
+            raise GraphMatError(f"{flag} applies only to --edges input")
         e_out = fileio.read_matrix_market(args.out_incidence, sr)
         e_in = fileio.read_matrix_market(args.in_incidence, sr)
     _emit(graph.adjacency_from_incidence(sr, e_out, e_in), args)
@@ -141,6 +157,7 @@ def cmd_bench(args):
         print(r.machine_line())
 
 
+@functools.cache
 def _make_parser():
     # one parent per group of arguments that the same subcommands read
     semiring = argparse.ArgumentParser(add_help=False)

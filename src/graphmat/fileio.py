@@ -73,27 +73,57 @@ def _text(path):
 _SKIPPED = re.compile(r"^[ \t]*(?:#.*)?(?:\n|\Z)", re.M)  # blank, comment
 
 
-def _plain_columns(text, sep, widths, shift, skipped=None):
-    """(rows, cols, fields, width) of a text whose every line holds the
-    same number (one of `widths`) of `sep`-separated fields, the first
-    two of them integers: rows and cols less `shift` as int64 arrays,
-    converted by numpy with int(). ValueError, or OverflowError for an
+def _plain_columns(text, sep, widths, shift, parse, default, skipped=None):
+    """(rows, cols, vals) of a text whose every line holds the same
+    number (one of `widths`) of `sep`-separated fields, the first two of
+    them integers: rows and cols less `shift` as int64 arrays, converted
+    as int() would, and vals a list of each line's third field through
+    `parse` (cast from the digit table when `parse` is in _EXACT), or of
+    `default` for two fields. ValueError, or OverflowError for an
     integer beyond int64, on any other text. A text of unequal lines is
     tried once more without the lines the `skipped` pattern matches."""
     body = text.rstrip("\n")  # blank lines at the end are skipped
-    buf = np.frombuffer(body.encode(), dtype=np.uint8)
-    marks = buf == ord(sep)
-    per_line = np.diff(np.cumsum(marks)[buf == ord("\n")], prepend=0,
-                       append=np.count_nonzero(marks))
+    raw = body.encode()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    # offsets of the separators and newlines that end each field
+    ends = np.flatnonzero((buf == ord(sep)) | (buf == ord("\n")))
+    newlines = np.flatnonzero(buf[ends] == ord("\n"))
+    per_line = np.diff(newlines, prepend=-1, append=len(ends)) - 1  # seps
     width = int(per_line[0]) + 1
     if width not in widths or (per_line != per_line[0]).any():
         if skipped is None:
             raise ValueError("lines of another or unequal width")
-        return _plain_columns(skipped.sub("", text), sep, widths, shift)
-    fields = body.replace("\n", sep).split(sep)
-    rows, cols = (np.array(fields[k::width], dtype=np.int64) - shift
-                  for k in (0, 1))
-    return rows, cols, fields, width
+        return _plain_columns(skipped.sub("", text), sep, widths, shift,
+                              parse, default)
+    table = _digit_table(raw, buf, ends, len(per_line), width)
+    exact = table is not None and (width == 2 or parse in _EXACT)
+    fields = None if exact else body.replace("\n", sep).split(sep)
+    if table is None:
+        rows, cols = (np.array(fields[k::width], dtype=np.int64) - shift
+                      for k in (0, 1))
+    else:
+        rows, cols = table[:, 0] - shift, table[:, 1] - shift
+    if width == 2:
+        vals = [default] * len(rows)
+    elif exact:
+        vals = table[:, 2].astype(_EXACT[parse]).tolist()
+    else:
+        vals = list(map(parse, fields[2::3]))
+    return rows, cols, vals
+
+
+def _digit_table(raw, buf, ends, lines, width):
+    """The lines x width int64 table of a body whose every field is 1 to
+    18 ASCII digits, each ending at one of the `ends` offsets (the
+    separators and newlines) or at the end, parsed in one call; None
+    for any other body. np.fromstring alone would read a 20-digit field
+    as 2**63 - 1 and take a trailing separator and any whitespace."""
+    sizes = np.diff(ends, prepend=-1, append=len(buf)) - 1
+    if (np.count_nonzero(buf - ord("0") < 10) + len(ends) != len(buf)
+            or sizes.min() < 1 or sizes.max() > 18):
+        return None
+    table = np.fromstring(raw, dtype=np.int64, sep=" ")
+    return table.reshape(lines, width) if len(table) == lines * width else None
 
 
 def _parse_vertex_group(text, path, lineno, shift):
@@ -121,6 +151,11 @@ def _default_value_parser(text):
         return int(text)
     except ValueError:
         return float(text)
+
+
+# value parsers whose result on a field of ASCII digits is the field's
+# integer cast to this dtype, exactly
+_EXACT = {int: np.int64, _default_value_parser: np.int64, float: np.float64}
 
 
 def read_edge_list(path, one_based=False, value_parser=None):
@@ -155,12 +190,11 @@ def read_triples(path, one_based=False, value_parser=None, default=1):
     try:
         if "out=" in text:
             raise ValueError("labeled line")
-        rows, cols, fields, width = _plain_columns(
-            text, "\t", (2, 3), 1 if one_based else 0, _SKIPPED)
+        rows, cols, vals = _plain_columns(
+            text, "\t", (2, 3), 1 if one_based else 0, parse, default,
+            _SKIPPED)
         if (rows < 0).any() or (cols < 0).any():
             raise ValueError("negative vertex index")
-        vals = (list(map(parse, fields[2::3])) if width == 3
-                else [default] * len(rows))
         return rows, cols, vals, int(max(rows.max(), cols.max())) + 1
     except (ValueError, TypeError, OverflowError):
         edges = read_edge_list(path, one_based, value_parser)
@@ -314,11 +348,10 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
         # fields split on single spaces: one that int() or parse_text
         # accepts is a token of the line's split() padded with whitespace
         # they strip, so both parsers read the same entries
-        rows, cols, fields, _ = _plain_columns(body, " ", (expected,), 1)
+        rows, cols, vals = _plain_columns(body, " ", (expected,), 1,
+                                          sr.domain.parse_text, sr.one)
         if not ((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)).all():
             raise ValueError("entry outside declared bounds")
-        vals = (list(map(sr.domain.parse_text, fields[2::3]))
-                if expected == 3 else [sr.one] * len(rows))
     except (ValueError, OverflowError):
         rows, cols, vals = [], [], []
         for lineno, raw in enumerate(body.split("\n"), start=lineno + 1):

@@ -218,11 +218,18 @@ def _keep(mask, complement, r0, r1, ncols):
 
 def _hits(mask, r0, r1, ncols, i, j):
     """Whether the mask stores or sets each position (r0 + i[k], j[k]);
-    a structural mask is binary-searched as (row, column) records, which
-    compare in its row-major order and which no column count overflows."""
+    a structural mask is binary-searched: one row's sorted columns as
+    they are, several rows as (row, column) records, which compare in
+    its row-major order and which no column count overflows."""
     if not isinstance(mask, SparseMatrix):
         return mask[(i + r0) * ncols + j]
     lo, hi = mask.indptr[r0], mask.indptr[r1]
+    if r1 - r0 == 1:
+        have = mask.indices[lo:hi]
+        k = have.searchsorted(j)
+        hit = k < len(have)
+        hit[hit] = have[k[hit]] == j[hit]
+        return hit
     rows = np.repeat(np.arange(r1 - r0), np.diff(mask.indptr[r0:r1 + 1]))
     have, want = (np.rec.fromarrays(p, names="i,j") for p in (
         (np.append(rows, -1), np.append(mask.indices[lo:hi], -1)), (i, j)))

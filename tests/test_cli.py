@@ -70,6 +70,64 @@ class TestOptions:
         assert not list(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["adjacency", "--out-incidence", E_OUT_MM, "--in-incidence",
+          E_IN_MM, "--vertices", "20"], "--vertices"),
+        (["adjacency", "--out-incidence", E_OUT_MM, "--in-incidence",
+          E_IN_MM, "--one-based"], "--one-based"),
+        (["adjacency", "--edges", EDGES, "--out-incidence", E_OUT_MM],
+         "--out-incidence"),
+        (["adjacency", "--edges", EDGES, "--in-incidence", E_IN_MM],
+         "--in-incidence"),
+        (["build", ADJ_MM, "--vertices", "0"], "--vertices"),
+        (["build", ADJ_MM, "--one-based"], "--one-based"),
+        (["transpose", ADJ_MM, "--one-based"], "--one-based"),
+        (["mxm", ADJ_MM, ADJ_MM, "--one-based"], "--one-based"),
+        (["union", ADJ_MM, ADJ_MM, "--one-based"], "--one-based"),
+        (["intersect", ADJ_MM, ADJ_MM, "--one-based"], "--one-based"),
+    ])
+    def test_flag_that_changes_nothing_exit_2(self, argv, flag, tmp_path,
+                                              capsys):
+        out = tmp_path / "o.mtx"
+        assert main(argv + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_flags_read_on_another_input_still_apply(self, tmp_path,
+                                                     capsys):
+        one = tmp_path / "one.tsv"
+        one.write_text("1\t2\n2\t1\n")
+        for argv in (["adjacency", "--edges", EDGES, "--vertices", "9"],
+                     ["adjacency", "--edges", str(one), "--one-based"],
+                     ["build", str(one), "--one-based"],
+                     ["subgraph", ADJ_MM, "--rows", "1,2", "--one-based"],
+                     ["assign", ADJ_MM, "--source-matrix", ADJ_MM,
+                      "--rows", "1,2,3,4,5,6,7", "--one-based"]):
+            assert main(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.splitlines() == [
+            "9 x 9, 12 entries", "2 x 2, 2 entries", "2 x 2, 2 entries",
+            "2 x 2, 1 entries", "7 x 7, 12 entries"]
+
+    def test_parser_built_once_and_reused(self, tmp_path, capsys):
+        # one parser serves every call, and no call's options reach the next
+        assert _make_parser() is _make_parser()
+        out = tmp_path / "a.mtx"
+        assert main(["build", EDGES, "--output", str(out)]) == 0
+        out.unlink()
+        assert main(["build", EDGES]) == 0
+        assert capsys.readouterr().out == \
+            f"7 x 7, 12 entries\nwrote {out}\n7 x 7, 12 entries\n"
+        assert not out.exists()
+        levels = []
+        for hops in (["--max-hops", "0"], []):
+            assert main(["bfs", EDGES, "--source", "0"] + hops) == 0
+            levels.append([ln.split("\t")[1] for ln in
+                           capsys.readouterr().out.splitlines()[1:]])
+        assert levels == [["0"] + ["-"] * 6,
+                          ["0", "1", "3", "2", "1", "2", "3"]]
+
+
 class TestBuild:
     def test_build_fixture(self, capsys):
         assert main(["build", EDGES]) == 0
@@ -211,6 +269,27 @@ class TestBfs:
     def test_non_integer_source_exit_2(self, capsys):
         assert main(["bfs", EDGES, "--source", "x"]) == 2
         assert "'x'" in capsys.readouterr().err
+
+
+class TestTables:
+    """bfs and sssp print one line per vertex, numbered from 1 with
+    --one-based, "-" for a vertex not reached."""
+
+    @pytest.mark.parametrize("one_based", [False, True])
+    def test_bytes(self, tmp_path, capsys, one_based):
+        s = int(one_based)
+        p = tmp_path / "w.tsv"
+        p.write_text(f"{s}\t{1 + s}\t0.1\n{1 + s}\t{3 + s}\t0.2\n"
+                     f"{3 + s}\t{1 + s}\t5\n")
+        flags = ["--one-based"] * one_based
+        assert main(["bfs", str(p), "--source", str(s)] + flags) == 0
+        assert capsys.readouterr().out == (
+            f"vertex\tlevel\tparent\n{s}\t0\t-\n{1 + s}\t1\t{s}\n"
+            f"{2 + s}\t-\t-\n{3 + s}\t2\t{1 + s}\n")
+        assert main(["sssp", str(p), "--source", str(s)] + flags) == 0
+        assert capsys.readouterr().out == (
+            f"vertex\tdistance\n{s}\t0.0\n{1 + s}\t0.1\n"
+            f"{2 + s}\t-\n{3 + s}\t0.30000000000000004\n")
 
 
 class TestSssp:

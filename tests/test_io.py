@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import graphmat as gm
 from graphmat import fileio
+from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import FormatError, IndexBoundsError
 
 from conftest import DATA_DIR, get_semiring, random_matrix
@@ -566,6 +567,157 @@ class TestMatrixMarketBulk:
                 tsv, True, sr.domain.parse_text, sr.one)
             assert top <= max(m, n)
             assert gm.build(sr, (m, n), (rows, cols, vals)) == a
+
+
+def digit_field(lo, hi):
+    """ASCII digit strings of lo to hi digits, leading zeros included."""
+    return st.integers(lo, hi).flatmap(
+        lambda k: st.text("0123456789", min_size=k, max_size=k))
+
+
+# fields int(), float() or a parse_text accept (padded, signed, "0_1",
+# "٤") or refuse; a body holding any of them skips the digit table
+ODD_FIELD = st.sampled_from(["", "+3", " 7", "8 ", "7\r", "0_1", "٤", "-2",
+                             "1.5", "1e3", "x"])
+DOMAIN_SEMIRINGS = {
+    "real": ARITH,
+    "int64": gm.make_semiring("arith-integer", INTEGER, OP_PLUS, OP_TIMES,
+                              0, 1),
+    "natural": NATURAL,
+    "bool": get_semiring("xor-and"),
+    "set": get_semiring("union-intersect"),
+}
+
+
+@st.composite
+def digit_body(draw, sep, width, low, high):
+    """Lines of `width` fields joined by `sep`: indices of one to three
+    digits from low to high, weights of 16 to 18 digits or short, and
+    digit strings of up to 20 digits. Unless plain, odd forms, spacing,
+    empty fields and trailing separators on some or all lines too."""
+    plain = draw(st.booleans())
+    index = st.tuples(st.integers(low, high), st.integers(1, 3)).map(
+        lambda t: str(t[0]).zfill(t[1]))
+    weight = st.one_of(index, digit_field(16, 18))
+    weird = [digit_field(1, 20)] + ([] if plain else [ODD_FIELD])
+    trail = "" if plain else draw(st.sampled_from(["", "", sep, "some"]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [draw(st.one_of(index, index, index, *weird))
+                  for _ in range(2)]
+        fields += [draw(st.one_of(weight, weight, *weird))
+                   for _ in range(width - 2)]
+        seps = [sep if plain else draw(st.sampled_from([sep, sep, "  ",
+                                                        "\t", " "]))
+                for _ in fields[1:]]
+        line = fields[0] + "".join(s + f for s, f in zip(seps, fields[1:]))
+        if trail == sep or trail == "some" and draw(st.booleans()):
+            line += sep
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def declined(*args):
+    return None
+
+
+class TestDigitTable:
+    """Bodies of ASCII digit fields are parsed in one call; every reader
+    gives the same result, or the same error, with that path declined."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The tables _digit_table returns from now on, None included."""
+        tables, real = [], fileio._digit_table
+
+        def record(*args):
+            tables.append(real(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(fileio, "_digit_table", record)
+        return tables
+
+    @pytest.mark.parametrize("domain", list(DOMAIN_SEMIRINGS))
+    def test_tsv_same_when_declined(self, domain, tmp_path, monkeypatch):
+        sr = DOMAIN_SEMIRINGS[domain]
+        p = tmp_path / "e.tsv"
+        tables = self.spy(monkeypatch)
+
+        @settings(max_examples=120, deadline=None)
+        @given(text=st.sampled_from([2, 3]).flatmap(
+            lambda w: digit_body("\t", w, 0, 9)), one_based=st.booleans())
+        def check(text, one_based):
+            p.write_text(text, encoding="utf-8")
+            args = (p, one_based, sr.domain.parse_text, sr.one)
+            fast = outcome(fileio.read_triples, *args)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fileio, "_digit_table", declined)
+                assert outcome(fileio.read_triples, *args) == fast
+
+        check()
+        assert any(t is not None for t in tables)
+
+    @pytest.mark.parametrize("domain", list(DOMAIN_SEMIRINGS))
+    def test_matrix_market_same_when_declined(self, domain, tmp_path,
+                                              monkeypatch):
+        sr = DOMAIN_SEMIRINGS[domain]
+        p = tmp_path / "m.mtx"
+        tables = self.spy(monkeypatch)
+
+        @st.composite
+        def mm_file(draw):
+            field = draw(st.sampled_from(["real", "integer", "pattern"]))
+            m, n = draw(st.sampled_from([3, 9])), draw(st.sampled_from([3, 9]))
+            body = draw(digit_body(" ", 2 if field == "pattern" else 3, 1, 9))
+            count = sum(1 for ln in body.split("\n") if ln.strip())
+            count += draw(st.sampled_from([0, 0, 0, 1]))
+            return (f"%%MatrixMarket matrix coordinate {field} general\n"
+                    f"{m} {n} {count}\n{body}")
+
+        @settings(max_examples=120, deadline=None)
+        @given(text=mm_file())
+        def check(text):
+            p.write_text(text, encoding="utf-8")
+            fast = read_outcome(p, sr)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fileio, "_digit_table", declined)
+                assert read_outcome(p, sr) == fast
+
+        check()
+        assert any(t is not None for t in tables)
+
+    def test_plain_files_take_it(self, tmp_path, monkeypatch):
+        tables = self.spy(monkeypatch)
+        monkeypatch.setattr(fileio, "read_edge_list", None)
+        big = 123456789012345678  # float() rounds it as the cast does
+        p = tmp_path / "e.tsv"
+        p.write_text(f"# a comment\n0\t1\t5\n3\t0\t{big}\n")
+        rows, cols, vals, n = fileio.read_triples(p, value_parser=float)
+        assert (rows.tolist(), cols.tolist(), vals, n) == \
+            ([0, 3], [1, 0], [5.0, float(str(big))], 4)
+        p.write_text("1\t2\n3\t1\n")
+        rows, cols, vals, n = fileio.read_triples(p, True, default=7)
+        assert (rows.tolist(), cols.tolist(), vals, n) == \
+            ([0, 2], [1, 0], [7, 7], 3)
+        mm = tmp_path / "m.mtx"
+        for field, entries in (("integer", "2 1 7\n1 2 9"),
+                               ("pattern", "2 1\n1 2")):
+            mm.write_text(f"%%MatrixMarket matrix coordinate {field} "
+                          f"general\n2 2 2\n{entries}\n")
+            a = fileio.read_matrix_market(mm, NATURAL)
+            assert (a.get(1, 0), a.get(0, 1)) == \
+                ((7, 9) if field == "integer" else (1, 1))
+        assert len(tables) == 4 and all(t is not None for t in tables)
+
+    @pytest.mark.parametrize("text", ["0\t1\t2.5\n", "0\t1\t\n0\t1\t\n",
+                                      "0\t1 \n", "0\t-1\n",
+                                      "0\t1234567890123456789\n"])
+    def test_other_bodies_decline(self, text, tmp_path, monkeypatch):
+        tables = self.spy(monkeypatch)
+        p = tmp_path / "e.tsv"
+        p.write_text(text)
+        outcome(fileio.read_triples, p, False, float)
+        assert tables == [None]
 
 
 class TestWriters:

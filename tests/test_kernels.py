@@ -941,6 +941,29 @@ class TestMaskedMxmBlocks:
             assert got.values.tolist() == want.values.tolist()
 
 
+class TestHits:
+    """A structural mask's block lookup: one row binary-searched by its
+    sorted columns, several rows by (row, column) records, same answer."""
+
+    @pytest.mark.parametrize("ncols,stored", [(2**60, 50), (1000, 0),
+                                              (1000, 1000), (7, 3)])
+    def test_one_row_matches_records_and_isin(self, ncols, stored):
+        rng = np.random.default_rng(73)
+        rows = [np.unique(rng.integers(0, ncols, 40)),
+                np.unique(rng.integers(0, ncols, stored)) if stored < ncols
+                else np.arange(ncols), np.unique(rng.integers(0, ncols, 9))]
+        mask = SparseMatrix(3, ncols, np.cumsum([0] + list(map(len, rows))),
+                            np.concatenate(rows), np.ones(
+                                sum(map(len, rows)), dtype=np.uint8),
+                            XOR.domain)
+        j = np.concatenate((rng.integers(0, ncols, 200), rows[1][:20],
+                            rows[0][:20]))
+        one = kernels._hits(mask, 1, 2, ncols, np.zeros_like(j), j)
+        records = kernels._hits(mask, 0, 3, ncols, np.ones_like(j), j)
+        assert one.tolist() == records.tolist() == \
+            np.isin(j, rows[1]).tolist()
+
+
 class TestChunkedFold:
     """Every block of `_mxm`, vxm's one row included, feeds the
     accumulator its products a chunk of `_VXM_CHUNK_PRODUCTS` at a time."""
