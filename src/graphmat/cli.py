@@ -34,16 +34,27 @@ def _is_mm(path, args):
     return args.format == "mm" or path.endswith((".mtx", ".mm"))
 
 
-def _load_matrix(path, args, sr):
+def _vertices(n, args):
+    """The vertex count of a file that names n: `--vertices` if given,
+    which must hold them all."""
+    if args.vertices is not None and args.vertices < max(n, 1):
+        raise GraphMatError(f"--vertices {args.vertices} is below the "
+                            f"{max(n, 1)} vertices the input needs")
+    return n if args.vertices is None else args.vertices
+
+
+def _load_matrix(path, args, sr, weight=None):
+    """The matrix in `path`; an entry with no weight field weighs
+    `weight`, sr.one if None."""
+    weight = sr.one if weight is None else weight
     if _is_mm(path, args):
         if args.vertices is not None:
             raise GraphMatError(
                 f"--vertices applies only to TSV input, not {path}")
-        return fileio.read_matrix_market(path, sr)
+        return fileio.read_matrix_market(path, sr, weight)
     rows, cols, vals, n = fileio.read_triples(
-        path, args.one_based, sr.domain.parse_text, sr.one)
-    if args.vertices:
-        n = max(n, args.vertices)
+        path, args.one_based, sr.domain.parse_text, weight)
+    n = _vertices(n, args)
     return build(sr, (n, n), (rows, cols, vals))
 
 
@@ -103,7 +114,8 @@ def cmd_bfs(args):
 
 def cmd_sssp(args):
     sr = semiring_by_name("min-plus")
-    a = _load_matrix(args.input, args, sr)
+    # an edge without a weight is one hop, not min-plus's one (0.0)
+    a = _load_matrix(args.input, args, sr, weight=1.0)
     source = _index(args.source, args.one_based)
     dist = graph.sssp_minplus(a, source)
     shift = 1 if args.one_based else 0
@@ -121,7 +133,7 @@ def cmd_adjacency(args):
                                 "with --edges")
         edges = fileio.read_edge_list(args.edges, one_based=args.one_based,
                                       value_parser=sr.domain.parse_text)
-        n = max(edges.n_vertices, args.vertices or 0)
+        n = _vertices(edges.n_vertices, args)
         e_out, e_in = fileio.incidence_from_edges(sr, edges, n,
                                                   use_weights=True)
     else:
@@ -176,7 +188,8 @@ def _make_parser():
                        help="treat TSV indices and CLI index lists "
                             "as 1-based")
     index.add_argument("--vertices", type=int, default=None,
-                       help="force at least this many vertices")
+                       help="vertex count of TSV input, at least the "
+                            "largest vertex index + 1")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default=None,
                         help="write the resulting matrix here "

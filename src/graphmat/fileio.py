@@ -313,9 +313,11 @@ def write_matrix_market(path, a: SparseMatrix):
         _write_entries(fh, a, " ", 1, values=field != "pattern")
 
 
-def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
+def read_matrix_market(path, sr: Semiring, default=None) -> SparseMatrix:
     """Read a coordinate-format Matrix Market file into a matrix over
-    the given semiring's domain. Banner keywords are case-insensitive."""
+    the given semiring's domain. Banner keywords are case-insensitive;
+    a `pattern` entry holds `default`, sr.one if None."""
+    default = sr.one if default is None else default
     with _text(path) as fh:
         parts = fh.readline().split()
         lineno = 1
@@ -349,7 +351,7 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
         # accepts is a token of the line's split() padded with whitespace
         # they strip, so both parsers read the same entries
         rows, cols, vals = _plain_columns(body, " ", (expected,), 1,
-                                          sr.domain.parse_text, sr.one)
+                                          sr.domain.parse_text, default)
         if not ((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)).all():
             raise ValueError("entry outside declared bounds")
     except (ValueError, OverflowError):
@@ -372,7 +374,7 @@ def read_matrix_market(path, sr: Semiring) -> SparseMatrix:
                     f"entry ({r + 1}, {c + 1}) outside declared "
                     f"{m} x {n} bounds", path, lineno)
             try:
-                v = sr.domain.parse_text(toks[2]) if toks[2:] else sr.one
+                v = sr.domain.parse_text(toks[2]) if toks[2:] else default
             except ValueError:
                 raise FormatError(f"bad value {toks[2]!r}", path, lineno)
             rows.append(r)

@@ -1,10 +1,10 @@
 """Graph algorithms composed from the semiring kernels.
 
 Adjacency rows are out-vertices: A(i, j) stored means an edge i -> j.
-Frontier expansion is therefore the row-vector product f A (`vxm`),
-which reads only the out-edges of the frontier and lands on the
-in-vertices, or, for a BFS hop with a large frontier, the same product
-pulled as A^T f (`mxv`) over the in-edges of the unvisited vertices.
+Frontier expansion is therefore the row-vector product f A (`_vxm`, on
+the frontier's arrays), which reads only the out-edges of the frontier
+and lands on the in-vertices, or, for a BFS hop with a large frontier,
+the same product pulled as A^T f (`mxv`) over the unvisited in-edges.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 
 from .algebra import BOOL, OP_MIN, REAL, BinaryOp, Semiring, semiring_by_name
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .kernels import _positions, ewise_add, ewise_mult, mxm, mxv, vxm
+from .kernels import (_check_domains, _positions, _vxm, ewise_add,
+                      ewise_mult, mxm, mxv)
 from .matrix import SparseMatrix, transpose
 
 _GF2_SR = semiring_by_name("xor-and")
@@ -119,11 +120,6 @@ def _ones(domain, k):
     return np.broadcast_to(domain.dtype(1), k)
 
 
-def _row(n, idx, vals, domain):
-    """1 x n row vector storing `vals` at the sorted positions `idx`."""
-    return SparseMatrix(1, n, np.array([0, len(idx)]), idx, vals, domain)
-
-
 def _pattern(a, domain):
     """The structure of `a` over `domain`: every stored entry reads 1."""
     return SparseMatrix(a.nrows, a.ncols, a.indptr, a.indices,
@@ -144,7 +140,7 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
     of a visited bitmap (direction-optimizing: Beamer, Asanovic &
     Patterson, SC'12).
 
-    A hop pushes, f <- f A with `vxm` over the frontier's out-edges,
+    A hop pushes, f <- f A with `_vxm` over the frontier's out-edges,
     while those number at most 1/_PULL_ALPHA of what a pull would read;
     otherwise it pulls, f <- A^T f with `mxv` over the in-edges of the
     unvisited vertices only. A pull reads A's cached
@@ -178,43 +174,43 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
     at = a._transposed(build=False)
     in_deg = out_deg if at is None else np.diff(at.indptr)
     unvisited_edges = int(in_deg.sum() - in_deg[frontier].sum())
-    push = (_pattern(a, REAL), _pattern(a, BOOL))
+    push = (_vxm, _MIN_FIRST, _pattern(a, REAL), _pattern(a, BOOL))
     pull = None
     hop = 0
     while len(frontier) and hop < max_hops:
         hop += 1
         pull_reads = unvisited_edges + n + _PULL_CALLS
         if _PULL_ALPHA * int(out_deg[frontier].sum()) <= pull_reads:
-            ids_a, bits_a = push
-            vec, product, by_id = _row, vxm, _MIN_FIRST
+            product, by_id, ids_a, bits_a = push
         else:
             if pull is None:
                 at = a._transposed()
-                pull = (_pattern(at, REAL), _pattern(at, BOOL))
+                pull = (_pull, _MIN_SECOND, _pattern(at, REAL),
+                        _pattern(at, BOOL))
                 in_deg = np.diff(at.indptr)
                 unvisited_edges = int(in_deg[~visited].sum())
-            ids_a, bits_a = pull
-            vec, product, by_id = _col, _pull, _MIN_SECOND
-        ids_f = vec(n, frontier, frontier.astype(np.float64), REAL)
+            product, by_id, ids_a, bits_a = pull
+        mask, complement = visited, True
         if gf2:  # reached: an odd number of frontier edges lead in
-            bits_f = vec(n, frontier, _ones(BOOL, len(frontier)), BOOL)
-            odd = product(_GF2_SR, bits_f, bits_a, mask=visited,
-                          complement=True)
-            up = product(by_id, ids_f, ids_a, mask=odd)
-        else:
-            up = product(by_id, ids_f, ids_a, mask=visited, complement=True)
-        frontier = _positions(up)
+            odd, _ = product(_GF2_SR, frontier, _ones(BOOL, len(frontier)),
+                             bits_a, visited, True)
+            mask, complement = np.zeros(n, dtype=bool), False
+            mask[odd] = True
+        frontier, ids = product(by_id, frontier, frontier.astype(np.float64),
+                                ids_a, mask, complement)
         visited[frontier] = True
         unvisited_edges -= int(in_deg[frontier].sum())
         level[frontier] = hop
-        parent[frontier] = up.values.astype(np.int64)
+        parent[frontier] = ids
     return BfsResult(levels=_unset_to_none(level),
                      parents=_unset_to_none(parent) if with_parents else None)
 
 
-def _pull(sr, f, at, mask=None, complement=False):
-    """f A as (A^T f)^T, read over the rows of A^T that the mask keeps."""
-    return mxv(sr, at, f, mask=mask, complement=complement)
+def _pull(sr, ids, x, at, mask=None, complement=False):
+    """`_vxm` as (A^T f)^T with `mxv`, read over the rows of A^T that the
+    mask keeps: f stores `x` at `ids`."""
+    up = mxv(sr, at, _col(at.ncols, ids, x, sr.domain), mask, complement)
+    return _positions(up), up.values
 
 
 def _unset_to_none(arr):
@@ -241,17 +237,18 @@ def sssp_minplus(a: SparseMatrix, source) -> list:
         raise IndexBoundsError(f"source {source} outside [0, {a.nrows})")
     if a.nnz and float(a.values.min()) < 0:
         raise DomainError("negative edge weight in min-plus SSSP")
+    _check_domains(_MINPLUS.domain, a)
     n = a.nrows
     dist = np.full(n, math.inf)
     dist[source] = 0.0
     changed = np.array([source], dtype=np.int64)
     for _ in range(max(n - 1, 1)):
-        relaxed = vxm(_MINPLUS, _row(n, changed, dist[changed], REAL), a)
-        better = relaxed.values < dist[relaxed.indices]
-        changed = relaxed.indices[better]
+        cols, vals = _vxm(_MINPLUS, changed, dist[changed], a)
+        better = vals < dist[cols]
+        changed = cols[better]
         if not len(changed):
             break
-        dist[changed] = relaxed.values[better]
+        dist[changed] = vals[better]
     return dist.tolist()
 
 

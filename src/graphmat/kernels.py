@@ -34,8 +34,8 @@ _DENSE_MIN_SLOTS = 1 << 16
 
 def _ranges(starts, counts):
     """Concatenate ranges(starts[k], starts[k] + counts[k]) into one
-    flat index array."""
-    flat = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    flat index array; ndarray methods, as it runs on every hop."""
+    flat = (starts - counts.cumsum() + counts).repeat(counts)
     flat += np.arange(len(flat))
     return flat
 
@@ -113,6 +113,10 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
          complement=False) -> SparseMatrix:
     """Gustavson's row-wise product (1978), one block of rows at a time;
     `mask` and `complement` select result positions as in vxm."""
+    if a.nrows == 1:
+        cols, vals = _vxm(sr, a.indices, a.values, b, mask, complement)
+        return SparseMatrix(1, b.ncols, np.array([0, len(cols)]), cols, vals,
+                            sr.domain)
     starts = b.indptr[a.indices]
     counts = b.indptr[1:][a.indices] - starts  # products per entry of a
     total = int(counts.sum())
@@ -139,42 +143,56 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
 
 def _mxm_block(sr, a, b, r0, r1, products, starts, counts, mask,
                complement):
-    """Rows r0..r1-1 of a b as (entries up to the end of each row, or of
-    the one row; columns; values), folded in one accumulator slot per
-    position a chunk at a time, or sorted and folded if that is too wide."""
+    """Rows r0..r1-1 of a b as (entries up to each row's end, columns,
+    values), by accumulator a chunk at a time, or sorted if too wide."""
     nb, ncols, lo, hi = r1 - r0, b.ncols, a.indptr[r0], a.indptr[r1]
     starts, counts, x = starts[lo:hi], counts[lo:hi], a.values[lo:hi]
-    # block row of each entry of a; a one-row block needs none
-    rows = (None if nb == 1 else
-            np.repeat(np.arange(nb), np.diff(a.indptr[r0:r1 + 1])))
+    rows = np.repeat(np.arange(nb), np.diff(a.indptr[r0:r1 + 1]))
     if _dense(nb * ncols, products):
         def chunks():
             for clo, chi, pos in _chunks(starts, counts):
                 slots = b.indices[pos]  # slot (i - r0) * ncols + j
-                if rows is not None:
-                    slots += rows[clo:chi].repeat(counts[clo:chi]) * ncols
+                slots += rows[clo:chi].repeat(counts[clo:chi]) * ncols
                 yield slots, sr.mul.ufunc(_wide(x[clo:chi].repeat(
                     counts[clo:chi]), sr.domain), b.values[pos])
 
         j, vals = _accumulate(sr, nb * ncols, chunks(),
                               _keep(mask, complement, r0, r1, ncols))
-        if rows is not None:
-            i = j // ncols
-            j -= i * ncols
+        i = j // ncols
+        j -= i * ncols
     else:
-        pos = _ranges(starts, counts)
-        i = np.zeros_like(pos) if rows is None else np.repeat(rows, counts)
-        j, x = b.indices[pos], np.repeat(x, counts)
-        if mask is not None:  # masked positions go before the sort
-            hit = np.flatnonzero(_hits(mask, r0, r1, ncols, i, j)
-                                 != complement)
-            pos, i, j, x = pos[hit], i[hit], j[hit], x[hit]
-        prod = sr.mul.ufunc(_wide(x, sr.domain), b.values[pos])
-        order = _order(i, j, nb, ncols)
-        i, j, vals = _fold(i[order], j[order], prod[order], sr.add, sr.zero,
-                           sr.domain)
-    ends = len(j) if rows is None else np.searchsorted(i, np.arange(1, nb + 1))
-    return ends, j, vals
+        i, j, vals = _sort_fold(sr, b, _ranges(starts, counts), rows, x,
+                                counts, r0, r1, mask, complement)
+    return np.searchsorted(i, np.arange(1, nb + 1)), j, vals
+
+
+def _sort_fold(sr, b, pos, rows, x, counts, r0, r1, mask, complement):
+    """x[k], in block row rows[k], times its counts[k] entries of b at
+    `pos`, masked, sorted and folded: (rows, columns, values)."""
+    i, j, x = rows.repeat(counts), b.indices[pos], x.repeat(counts)
+    if mask is not None:
+        hit = np.flatnonzero(_hits(mask, r0, r1, b.ncols, i, j) != complement)
+        pos, i, j, x = pos[hit], i[hit], j[hit], x[hit]
+    prod = sr.mul.ufunc(_wide(x, sr.domain), b.values[pos])
+    order = _order(i, j, r1 - r0, b.ncols)
+    return _fold(i[order], j[order], prod[order], sr.add, sr.zero, sr.domain)
+
+
+def _vxm(sr, ids, x, b, mask=None, complement=False):
+    """vxm on arrays and unchecked, for traversal hops: the row storing
+    x at the ascending ids, times b, as (columns, values)."""
+    starts = b.indptr[ids]
+    counts = b.indptr[1:][ids] - starts  # products per entry of the row
+    total, ncols = int(counts.sum()), b.ncols
+    if not _dense(ncols, total):
+        return _sort_fold(sr, b, _ranges(starts, counts), np.zeros(
+            len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)[1:]
+    # positions in one go when one chunk holds them all
+    parts = (_chunks(starts, counts) if total > _VXM_CHUNK_PRODUCTS
+             else [(0, len(ids), _ranges(starts, counts))])
+    return _accumulate(sr, ncols, ((b.indices[p], sr.mul.ufunc(_wide(
+        x[lo:hi].repeat(counts[lo:hi]), sr.domain), b.values[p]))
+        for lo, hi, p in parts), _keep(mask, complement, 0, 1, ncols))
 
 
 def _check_mask(mask, nrows, ncols):
@@ -239,8 +257,8 @@ def _hits(mask, r0, r1, ncols, i, j):
 def _chunks(starts, counts):
     """Split the ranges (starts[k], starts[k] + counts[k]) into chunks of
     about _VXM_CHUNK_PRODUCTS positions, a range above it alone: yield
-    (lo, hi, positions of ranges lo..hi-1). This runs on every hop, so it
-    calls ndarray methods, which skip the numpy functions' wrappers."""
+    (lo, hi, positions of ranges lo..hi-1), with ndarray methods, which
+    skip the numpy functions' wrappers."""
     before = counts.cumsum() - counts  # positions of earlier ranges
     lo = 0
     while lo < len(counts):

@@ -189,6 +189,25 @@ class TestBuild:
         assert "row dimension" in run.stderr
         assert "100000000001 rows" in run.stderr
 
+    @pytest.mark.parametrize("count", ["0", "-3", "6"])
+    @pytest.mark.parametrize("argv", [
+        ["build", EDGES], ["tuples", EDGES], ["bfs", EDGES, "--source", "0"],
+        ["sssp", EDGES, "--source", "0"], ["transpose", EDGES],
+        ["mxm", EDGES, EDGES], ["union", EDGES, ADJ_MM],
+        ["subgraph", EDGES, "--rows", "0,1"]])
+    def test_vertices_below_the_file_exit_2(self, argv, count, capsys):
+        # the fixture names vertices 0..6: fewer than 7 is refused, not
+        # ignored as it was
+        assert main(argv + ["--vertices", count]) == 2
+        err = capsys.readouterr().err
+        assert "--vertices" in err and f"{count} is below" in err
+
+    def test_vertices_pads_the_file(self, capsys):
+        assert main(["build", EDGES, "--vertices", "7"]) == 0
+        assert main(["build", EDGES, "--vertices", "9"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "7 x 7, 12 entries", "9 x 9, 12 entries"]
+
     def test_vertices_on_matrix_market_exit_2(self, capsys):
         # a Matrix Market file states its own shape
         assert main(["build", ADJ_MM, "--vertices", "20"]) == 2
@@ -302,6 +321,25 @@ class TestSssp:
         assert lines[1] == "1\t2.5"
         assert lines[2] == "2\t4.0"
 
+    def test_unweighted_edges_count_hops(self, tmp_path, capsys):
+        # an edge without a weight field is one hop, as in the .mtx that
+        # build writes from the same file, not min-plus's one, 0.0
+        pattern = tmp_path / "seven.mtx"
+        pattern.write_text("%%MatrixMarket matrix coordinate pattern "
+                           "general\n7 7 12\n" + "".join(
+                               f"{int(r) + 1} {int(c) + 1}\n" for r, c in
+                               map(str.split, open(EDGES))))
+        built = tmp_path / "built.mtx"
+        assert main(["build", EDGES, "--output", str(built)]) == 0
+        tables = []
+        for path in (EDGES, str(pattern), str(built)):
+            capsys.readouterr()
+            assert main(["sssp", path, "--source", "0"]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] == tables[2]
+        hops = [line.split("\t")[1] for line in tables[0].splitlines()[1:]]
+        assert hops == ["0.0", "1.0", "3.0", "2.0", "1.0", "2.0", "3.0"]
+
     def test_non_integer_source_exit_2(self, capsys):
         assert main(["sssp", EDGES, "--source", "abc"]) == 2
         assert "'abc'" in capsys.readouterr().err
@@ -364,6 +402,12 @@ class TestAdjacency:
 
     def test_missing_inputs_exit_2(self, capsys):
         assert main(["adjacency"]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3", "6"])
+    def test_vertices_below_the_edges_exit_2(self, count, capsys):
+        assert main(["adjacency", "--edges", EDGES, "--vertices", count]) == 2
+        err = capsys.readouterr().err
+        assert "--vertices" in err and f"{count} is below" in err
 
     @pytest.mark.parametrize("command", [["build"], ["adjacency", "--edges"]])
     def test_label_with_non_ascii_digit(self, command, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import graphmat as gm
@@ -37,6 +38,16 @@ def random_digraph(rng, n, density=0.15, weights=False):
                             if weights else 1.0)
     sr = MINPLUS if weights else ARITH
     return gm.build(sr, (n, n), (rows, cols, vals))
+
+
+def grid(side):
+    """side x side 4-neighbour grid, every edge both ways, weights 1-9."""
+    v = np.arange(side * side).reshape(side, side)
+    r = np.concatenate([v[:, :-1].ravel(), v[:-1, :].ravel()])
+    c = np.concatenate([v[:, 1:].ravel(), v[1:, :].ravel()])
+    rows, cols = np.concatenate([r, c]), np.concatenate([c, r])
+    return gm.build(MINPLUS, (side * side,) * 2,
+                    (rows, cols, (rows + cols) % 9 + 1.0))
 
 
 def parents_oracle(d, levels):
@@ -373,6 +384,43 @@ class TestSssp:
         a = gm.build(MINPLUS, (2, 2), ([0], [1], [-1.0]))
         with pytest.raises(DomainError):
             gm.sssp_minplus(a, 0)
+
+
+class TestHopsOnArrays:
+    """BFS push hops and SSSP rounds multiply the frontier's ids and
+    values with `_vxm`: a traversal constructs the same number of
+    SparseMatrix objects however many hops it takes."""
+
+    @staticmethod
+    def _count(monkeypatch, traversal):
+        """(SparseMatrix constructions, `_vxm` calls) of one traversal."""
+        made, hops = [], []
+        init, vxm = gm.SparseMatrix.__init__, graph._vxm
+        with monkeypatch.context() as m:
+            m.setattr(gm.SparseMatrix, "__init__",
+                      lambda self, *a: made.append(1) or init(self, *a))
+            m.setattr(graph, "_vxm",
+                      lambda *a: hops.append(1) or vxm(*a))
+            traversal()
+        return len(made), len(hops)
+
+    @pytest.mark.parametrize("gf2", [False, True])
+    def test_bfs_on_a_grid(self, gf2, monkeypatch):
+        a = grid(48)
+        counts = [self._count(monkeypatch, lambda: gm.bfs_levels(
+            a, [0], max_hops=hops, gf2=gf2)) for hops in (1, 8, None)]
+        made, products = zip(*counts)
+        assert products[0] < products[1] < products[2]
+        assert len(set(made)) == 1
+        if not gf2:  # corner to corner, every hop a push
+            assert products[2] == 2 * 47 + 1
+
+    def test_sssp_on_grids(self, monkeypatch):
+        grids = [grid(8), grid(48)]
+        (small, rounds_small), (large, rounds_large) = [self._count(
+            monkeypatch, lambda: gm.sssp_minplus(a, 0)) for a in grids]
+        assert rounds_small < rounds_large
+        assert small == large
 
 
 class TestUnionIntersection:

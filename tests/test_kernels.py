@@ -1010,3 +1010,92 @@ class TestChunkedFold:
         # a chunk ends at the first entry that reaches the cap, so it
         # exceeds the cap by less than one entry's products (at most 7)
         assert all(s <= 3 + 7 for block in sizes for s in block)
+
+
+class TestPrivateVxm:
+    """`_vxm`, the one-row product the traversals call on arrays: the
+    row vector storing x at ascending ids, times b, as (columns, values),
+    bit-identical to the dense oracle and to vxm on the accumulator path,
+    the sort path and chunks of 2 products, under every mask form."""
+
+    WIDE = 2**17  # more slots than _DENSE_MIN_SLOTS: the sort path
+
+    @staticmethod
+    def _same(got, want):
+        if got.dtype == object:
+            return got.tolist() == want.tolist()
+        return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("path", ["accumulate", "sort", "chunks"])
+    @pytest.mark.parametrize("masked", TestMxv.MASKS)
+    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    def test_against_oracle_and_vxm(self, name, masked, path, monkeypatch):
+        if path == "chunks":
+            monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 2)
+        chunks = TestChunkedFold._chunk_sizes(monkeypatch)
+        sr = get_semiring(name)
+        rng = random.Random(79)
+        for _ in range(12):
+            n, m = rng.randint(1, 9), rng.randint(1, 9)
+            a = random_matrix(sr, rng, n, m, density=0.5)
+            f = random_matrix(sr, rng, 1, n, density=0.6)
+            mask, complement = TestMxv._mask(rng, masked, m, column=False)
+            d = oracle.dense_mxm(sr, oracle.densify(f, sr.zero),
+                                 oracle.densify(a, sr.zero))
+            want = [j for j in range(m) if d[0, j] != sr.zero
+                    and TestMxv._kept(mask, complement, j)]
+            cols = np.arange(m)
+            if path == "sort":  # column k of a moves to column cols[k]
+                cols = np.array(sorted(rng.sample(range(self.WIDE), m)))
+                a = gm.build(sr, (n, self.WIDE), (a.row_arrays(),
+                                                  cols[a.indices], a.values))
+                if isinstance(mask, np.ndarray):
+                    wide = np.zeros(self.WIDE, dtype=bool)
+                    wide[cols[mask]] = True
+                    mask = wide
+                elif mask is not None:
+                    mask = gm.build(XOR, (1, self.WIDE), (
+                        [0] * mask.nnz, cols[mask.indices], mask.values))
+            got_cols, got_vals = kernels._vxm(sr, f.indices, f.values, a,
+                                              mask, complement)
+            assert got_cols.tolist() == cols[want].tolist()
+            assert got_vals.tolist() == [d[0, j] for j in want]
+            ref = gm.vxm(sr, f, a, mask=mask, complement=complement)
+            assert np.array_equal(got_cols, ref.indices)
+            assert self._same(got_vals, ref.values)
+        # the sort path never folds into the accumulator; a cap of 2
+        # splits some row of more than 2 products into several chunks
+        assert (not chunks) == (path == "sort")
+        if path == "chunks":
+            assert any(len(sizes) > 1 for sizes in chunks)
+
+    def test_positions_built_once_in_one_chunk(self, monkeypatch):
+        # products within the cap: _ranges gives all positions and no
+        # chunk loop runs; above it, _chunks splits them
+        a = gm.build(ARITH, (5, 6), ([k // 2 for k in range(10)],
+                                     [k % 6 for k in range(10)],
+                                     [float(k + 1) for k in range(10)]))
+        ids, x = np.arange(5), np.array([1.0, 2, 3, 4, 5])
+        loops = []
+        real = kernels._chunks
+        monkeypatch.setattr(kernels, "_chunks",
+                            lambda *args: loops.append(1) or real(*args))
+        whole = kernels._vxm(ARITH, ids, x, a)
+        assert loops == []
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 4)
+        split = kernels._vxm(ARITH, ids, x, a)
+        assert loops == [1]
+        assert all(np.array_equal(p, q) for p, q in zip(whole, split))
+
+    def test_broadcast_values_and_empty_row(self):
+        # a frontier's ones come as a broadcast view, not an array
+        a = load_fixture_adjacency(XOR)
+        ones = np.broadcast_to(XOR.domain.dtype(1), 2)
+        cols, vals = kernels._vxm(XOR, np.array([0, 3]), ones, a)
+        want = gm.vxm(XOR, gm.build(XOR, (1, 7), ([0, 0], [0, 3], [1, 1])),
+                      a)
+        assert cols.tolist() == want.indices.tolist()
+        assert vals.tolist() == want.values.tolist()
+        cols, vals = kernels._vxm(ARITH, np.empty(0, dtype=np.int64),
+                                  np.empty(0), load_fixture_adjacency())
+        assert len(cols) == len(vals) == 0
