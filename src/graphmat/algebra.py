@@ -97,6 +97,10 @@ def _render_real(v):
     return repr(float(v))
 
 
+def _render_int(v):
+    return str(int(v))
+
+
 REAL = Domain(
     name="real",
     dtype=np.float64,
@@ -134,7 +138,7 @@ NATURAL = Domain(
     and 0 <= v <= U64_MAX,
     sample=lambda rng: rng.randrange(0, 1000),
     parse_text=int,
-    render=lambda v: str(int(v)),
+    render=_render_int,
     mm_field="integer",
 )
 
@@ -145,7 +149,7 @@ INTEGER = Domain(
     and -(2**63) <= v < 2**63,
     sample=lambda rng: rng.randrange(-1000, 1000),
     parse_text=int,
-    render=lambda v: str(int(v)),
+    render=_render_int,
     mm_field="integer",
 )
 
@@ -155,7 +159,7 @@ BOOL = Domain(
     contains=lambda v: v in (0, 1, False, True),
     sample=lambda rng: rng.randrange(2),
     parse_text=lambda s: int(bool(int(s))),
-    render=lambda v: str(int(v)),
+    render=_render_int,
     mm_field="integer",
 )
 
@@ -175,7 +179,7 @@ def set_domain(universe_size: int) -> Domain:
         and 0 <= v <= full,
         sample=lambda rng: rng.getrandbits(universe_size),
         parse_text=int,
-        render=lambda v: str(int(v)),
+        render=_render_int,
         mm_field="integer",
         universe_size=universe_size,
     )

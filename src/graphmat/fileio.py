@@ -2,8 +2,10 @@
 
 TSV edge lists are 0-based by default (a flag shifts them); Matrix
 Market coordinate files are 1-based on disk, as the format requires.
-Files are UTF-8 text. Plain numeric files are parsed a column at a
-time, any other by the line parser, whose errors give file and line.
+Files are UTF-8 text. Files of lines of one width (comma groups and
+labeled lines of digits included) are parsed a column at a time, any
+other by the line parser, whose errors give file and line. Entries
+whose values render as digits are written from one byte buffer.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import Semiring
+from .algebra import Semiring, _render_int, _render_real
 from .errors import FormatError, IndexBoundsError
 from .kernels import _ranges
 from .matrix import SparseMatrix, build, extract_tuples
@@ -70,60 +72,107 @@ def _text(path):
         raise FormatError(f"not UTF-8 text ({exc.reason})", path) from None
 
 
-_SKIPPED = re.compile(r"^[ \t]*(?:#.*)?(?:\n|\Z)", re.M)  # blank, comment
+# a labeled line in the one form the column path reads as plain: label
+# (not a `#` comment's first word), out- and in-group, weight, each
+# token as the line parser splits it
+_LABELED = re.compile(r"^[^\S\n]*(?:(?!#)\S*:[^\S\n]+)?out=(\S+)"
+                      r"[^\S\n]+in=(\S+)(?:[^\S\n]+w(?:eight)?=(\S+))?"
+                      r"[^\S\n]*$", re.M)
 
 
-def _plain_columns(text, sep, widths, shift, parse, default, skipped=None):
-    """(rows, cols, vals) of a text whose every line holds the same
-    number (one of `widths`) of `sep`-separated fields, the first two of
-    them integers: rows and cols less `shift` as int64 arrays, converted
-    as int() would, and vals a list of each line's third field through
-    `parse` (cast from the digit table when `parse` is in _EXACT), or of
-    `default` for two fields. ValueError, or OverflowError for an
-    integer beyond int64, on any other text. A text of unequal lines is
-    tried once more without the lines the `skipped` pattern matches."""
-    body = text.rstrip("\n")  # blank lines at the end are skipped
-    raw = body.encode()
+def _plain_columns(text, sep, widths, shift, parse, default, edge_list=False):
+    """EdgeColumns of a text whose lines all hold as many `sep`-separated
+    fields, widths[0] to widths[-1]: out- and in-vertex, less `shift`,
+    then a weight through `parse`, or `default` if none. Bodies of ASCII
+    digits (`.0` weights too, under float) are parsed in one call,
+    others a column at a time, as int() and `parse` read them. In an
+    `edge_list`, blank and `#` lines are dropped, labeled lines read in
+    plain form, and digit vertex fields may be comma groups. ValueError,
+    TypeError or OverflowError on any other text or a negative vertex."""
+    if edge_list and "=" in text:
+        text = _LABELED.sub(lambda m: "\t".join(filter(None, m.groups())),
+                            text)
+    raw = text.rstrip("\n").encode() + b"\n"  # every line ends in one
+    buf, ends, last = _layout(raw, sep, edge_list)
+    if edge_list and len(raw) > len(raw := _drop_skipped(raw, buf,
+                                                          ends[last])):
+        buf, ends, last = _layout(raw, sep, edge_list)
+    grouped = edge_list and b"," in raw
+    width = np.diff(last, prepend=-1)  # tokens a line: fields, ungrouped
+    if grouped:  # a field's tokens are the members of its group
+        is_sep = buf[ends] == ord(sep)
+        seps = np.cumsum(is_sep) - is_sep  # before each token
+        line = np.repeat(np.arange(len(last)), width)
+        field = seps - np.r_[0, seps[last[:-1] + 1]][line]
+        width = field[last] + 1
+    w = width.max(initial=widths[0])
+    if ((width != w).any() or not widths[0] <= w <= widths[-1]
+            or grouped and (field[buf[ends] == ord(",")] > 1).any()):
+        raise ValueError("lines of unequal or other widths, or a group weight")
+    at = [field == f if grouped else slice(f, None, w) for f in range(w)]
+    table = _digit_table(raw, buf, ends, last, parse is float and w == 3)
+    if table is not None and (parse in _EXACT or w == 2):
+        cols = [table[k] for k in at]
+        vals = cols[2].astype(_EXACT[parse]).tolist() if w == 3 else []
+    elif not grouped and not (edge_list and b"out=" in raw):
+        tokens = raw[:-1].decode().replace("\n", sep).split(sep)
+        cols = [tokens[k] for k in at]
+        vals = list(map(parse, cols[2])) if w == 3 else []
+    else:
+        raise ValueError("groups or labeled lines with other fields")
+    out_v, in_v = (np.asarray(c, dtype=np.int64) - shift for c in cols[:2])
+    if (out_v < 0).any() or (in_v < 0).any():
+        raise ValueError("negative vertex index")
+    ids = [line[at[0]], line[at[1]]] if grouped else [np.arange(len(last))] * 2
+    return EdgeColumns(ids[0], out_v, ids[1], in_v,
+                       vals or [default] * len(last))
+
+
+def _layout(raw, sep, edge_list):
+    """(buf, ends, last) of bytes ending in a newline: them as uint8,
+    the offsets of the `sep`s, newlines and (in an edge list) commas
+    ending each token, and the indices in `ends` of the newlines."""
     buf = np.frombuffer(raw, dtype=np.uint8)
-    # offsets of the separators and newlines that end each field
-    ends = np.flatnonzero((buf == ord(sep)) | (buf == ord("\n")))
-    newlines = np.flatnonzero(buf[ends] == ord("\n"))
-    per_line = np.diff(newlines, prepend=-1, append=len(ends)) - 1  # seps
-    width = int(per_line[0]) + 1
-    if width not in widths or (per_line != per_line[0]).any():
-        if skipped is None:
-            raise ValueError("lines of another or unequal width")
-        return _plain_columns(skipped.sub("", text), sep, widths, shift,
-                              parse, default)
-    table = _digit_table(raw, buf, ends, len(per_line), width)
-    exact = table is not None and (width == 2 or parse in _EXACT)
-    fields = None if exact else body.replace("\n", sep).split(sep)
-    if table is None:
-        rows, cols = (np.array(fields[k::width], dtype=np.int64) - shift
-                      for k in (0, 1))
-    else:
-        rows, cols = table[:, 0] - shift, table[:, 1] - shift
-    if width == 2:
-        vals = [default] * len(rows)
-    elif exact:
-        vals = table[:, 2].astype(_EXACT[parse]).tolist()
-    else:
-        vals = list(map(parse, fields[2::3]))
-    return rows, cols, vals
+    is_end = (buf == ord(sep)) | (buf == 10)
+    if edge_list and b"," in raw:
+        is_end |= buf == ord(",")
+    ends = np.flatnonzero(is_end)
+    return buf, ends, np.flatnonzero(buf[ends] == 10)
 
 
-def _digit_table(raw, buf, ends, lines, width):
-    """The lines x width int64 table of a body whose every field is 1 to
-    18 ASCII digits, each ending at one of the `ends` offsets (the
-    separators and newlines) or at the end, parsed in one call; None
-    for any other body. np.fromstring alone would read a 20-digit field
-    as 2**63 - 1 and take a trailing separator and any whitespace."""
-    sizes = np.diff(ends, prepend=-1, append=len(buf)) - 1
-    if (np.count_nonzero(buf - ord("0") < 10) + len(ends) != len(buf)
-            or sizes.min() < 1 or sizes.max() > 18):
+def _drop_skipped(raw, buf, newlines):
+    """`raw`, whose lines end at the `newlines` offsets, without its
+    blank and `#` lines, spaces and tabs before them aside."""
+    starts = np.concatenate(([0], newlines[:-1] + 1))
+    odd = buf[starts] - ord("0") > 9  # lines that open otherwise
+    cut = [(s, e + 1) for s, e in zip(starts[odd].tolist(),
+                                      newlines[odd].tolist())
+           if raw[s:e].lstrip(b" \t")[:1] in (b"", b"#")]
+    bounds = [0, *chain.from_iterable(cut), len(raw)]
+    return b"".join(raw[i:j] for i, j in zip(bounds[::2], bounds[1::2]))
+
+
+def _digit_table(raw, buf, ends, last, point_zero=False):
+    """The int64 tokens, parsed in one call, of a body of _layout
+    (raw, buf, ends, last) whose every token is ASCII digits below
+    10**18; None for any other. With `point_zero`, every line's last
+    token may end in `.0`, if all do, read without it. np.fromstring
+    alone would read a 20-digit field as 2**63 - 1, and take a
+    trailing separator and any whitespace."""
+    dots = ends[last] - 2 if point_zero else last[:0]
+    if not ((buf[dots] == ord(".")) & (buf[dots + 1] == ord("0"))).all():
+        dots = last[:0]
+    if len(dots):
+        blank = buf.copy()
+        blank[dots] = blank[dots + 1] = ord(" ")
+        raw = blank.tobytes()
+    if (np.count_nonzero(buf - ord("0") < 10) + len(ends) + len(dots)
+            != len(buf)):
         return None
-    table = np.fromstring(raw, dtype=np.int64, sep=" ")
-    return table.reshape(lines, width) if len(table) == lines * width else None
+    table = np.fromstring(raw.replace(b",", b" "), dtype=np.int64, sep=" ")
+    # an empty token shortens the table, a 19-digit one may not fit
+    fits = len(table) == len(ends) and table.max(initial=0) < 10**18
+    return table if fits else None
 
 
 def _parse_vertex_group(text, path, lineno, shift):
@@ -159,50 +208,52 @@ _EXACT = {int: np.int64, _default_value_parser: np.int64, float: np.float64}
 
 
 def read_edge_list(path, one_based=False, value_parser=None):
-    """Parse a TSV edge-list file into EdgeColumns, line by line: plain
+    """Parse a TSV edge-list file into EdgeColumns: plain
     ``out<TAB>in[<TAB>weight]`` lines, whose out/in may be comma-joined
     vertex groups (hyper-edges), and labeled ``e12: out=4 in=3,5
     [w=0.5]`` lines. Blank lines and ``#`` comments are skipped."""
-    value_parser = value_parser or _default_value_parser
-    shift = 1 if one_based else 0
-    outs, ins, weights = [], [], []
-    with _text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parse = _parse_labeled if "out=" in line else _parse_plain
-            record = parse(line, path, lineno, shift, value_parser)
-            for column, item in zip((outs, ins, weights), record):
-                column.append(item)
-    return EdgeColumns.from_groups(outs, ins, weights)
+    return _read_edges(path, one_based, value_parser, None)
 
 
 def read_triples(path, one_based=False, value_parser=None, default=1):
     """(rows, cols, vals, n) of a TSV edge list, as read_edge_list,
     triples_from_edges(edges, default) and edges.n_vertices give them,
-    errors included. Plain lines of equal width, blank and `#` comment
-    lines aside, are parsed a column at a time, rows and cols as int64
-    arrays; any other file goes through read_edge_list."""
+    errors included; rows and cols are int64 arrays."""
+    edges = _read_edges(path, one_based, value_parser, default)
+    n = edges.n_vertices
+    if len(edges.out_vertices) == len(edges.in_vertices) == len(edges):
+        return edges.out_vertices, edges.in_vertices, edges.weights, n
+    return (*triples_from_edges(edges, default), n)
+
+
+def _read_edges(path, one_based, value_parser, default):
+    """read_edge_list, with `default` for an edge without a weight."""
     parse = value_parser or _default_value_parser
+    shift = 1 if one_based else 0
     with _text(path) as fh:
         text = fh.read()
     try:
-        if "out=" in text:
-            raise ValueError("labeled line")
-        rows, cols, vals = _plain_columns(
-            text, "\t", (2, 3), 1 if one_based else 0, parse, default,
-            _SKIPPED)
-        if (rows < 0).any() or (cols < 0).any():
-            raise ValueError("negative vertex index")
-        return rows, cols, vals, int(max(rows.max(), cols.max())) + 1
+        return _plain_columns(text, "\t", (2, 3), shift, parse, default, True)
     except (ValueError, TypeError, OverflowError):
-        edges = read_edge_list(path, one_based, value_parser)
-        return (*triples_from_edges(edges, default), edges.n_vertices)
+        return _parse_lines(text, path, shift, parse, default)
 
 
-def _parse_plain(line, path, lineno, shift, value_parser):
-    """(outs, ins, weight or None) of ``out<TAB>in[<TAB>weight]``."""
+def _parse_lines(text, path, shift, value_parser, default):
+    """The line parser: EdgeColumns of an edge list, record by record;
+    FormatError naming the first bad line."""
+    outs, ins, weights = [], [], []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parse = _parse_labeled if "out=" in line else _parse_plain
+        record = parse(line, path, lineno, shift, value_parser, default)
+        for column, item in zip((outs, ins, weights), record):
+            column.append(item)
+    return EdgeColumns.from_groups(outs, ins, weights)
+
+
+def _parse_plain(line, path, lineno, shift, value_parser, default):
+    """(outs, ins, weight or default) of ``out<TAB>in[<TAB>weight]``."""
     parts = line.split("\t")
     if len(parts) not in (2, 3):
         raise FormatError(
@@ -211,11 +262,11 @@ def _parse_plain(line, path, lineno, shift, value_parser):
     return (_parse_vertex_group(parts[0], path, lineno, shift),
             _parse_vertex_group(parts[1], path, lineno, shift),
             _parse_weight(parts[2], path, lineno, value_parser)
-            if len(parts) == 3 else None)
+            if len(parts) == 3 else default)
 
 
-def _parse_labeled(line, path, lineno, shift, value_parser):
-    """(outs, ins, weight or None) of ``[label:] out=.. in=.. [w=..]``."""
+def _parse_labeled(line, path, lineno, shift, value_parser, default):
+    """(outs, ins, weight or default) of ``[label:] out=.. in=.. [w=..]``."""
     tokens = line.split()
     if tokens and tokens[0].endswith(":"):
         tokens.pop(0)  # the edge's label, a name only
@@ -235,7 +286,7 @@ def _parse_labeled(line, path, lineno, shift, value_parser):
     if "out" not in found or "in" not in found:
         raise FormatError("labeled edge needs both out= and in=",
                           path, lineno)
-    return found["out"], found["in"], found.get("w")
+    return found["out"], found["in"], found.get("w", default)
 
 
 def incidence_from_edges(sr: Semiring, edges, n_vertices,
@@ -277,25 +328,64 @@ def triples_from_edges(edges, default_weight):
 # Matrix Market coordinate format
 
 
-_WRITE_CHUNK = 1 << 16  # entries formatted at once; bounds the lists
+_WRITE_CHUNK = 1 << 16  # entries formatted at once; bounds the buffers
 
 
 def _write_entries(fh, a: SparseMatrix, sep, shift, values=True):
     """One line per stored entry: row and column plus `shift`, then
     (with `values`) the value as its domain renders it, joined by
-    `sep`. Whole columns are formatted a chunk at a time."""
+    `sep`. A chunk whose values render as digits is written from one
+    byte buffer, any other entry by entry."""
     tri = extract_tuples(a)
     for lo in range(0, len(tri), _WRITE_CHUNK):
         part = slice(lo, lo + _WRITE_CHUNK)
-        rows = (tri.rows[part] + shift).tolist()
-        cols = (tri.cols[part] + shift).tolist()
-        if values:
-            vals = map(a.domain.render, tri.vals[part].tolist())
-            lines = [f"{r}{sep}{c}{sep}{v}\n"
-                     for r, c, v in zip(rows, cols, vals)]
+        rows, cols = tri.rows[part] + shift, tri.cols[part] + shift
+        if not values:
+            fh.write(_digit_lines((rows, cols), sep, "\n"))
+        elif (digits := _digit_values(a.domain, tri.vals[part])) is not None:
+            ints, suffix = digits
+            fh.write(_digit_lines((rows, cols, ints), sep, suffix + "\n"))
         else:
-            lines = [f"{r}{sep}{c}\n" for r, c in zip(rows, cols)]
-        fh.write("".join(lines))
+            vals = map(a.domain.render, tri.vals[part].tolist())
+            fh.write("".join([f"{r}{sep}{c}{sep}{v}\n" for r, c, v
+                              in zip(rows.tolist(), cols.tolist(), vals)]))
+
+
+def _digit_values(domain, vals):
+    """(ints, suffix) if `domain.render` writes each value as its int's
+    digits then the suffix, as for integral reals below 1e16; None if
+    it writes some otherwise."""
+    if domain.render is _render_int:
+        return vals.astype(np.uint64) if vals.dtype == object else vals, ""
+    if domain.render is _render_real and (np.abs(vals) < 1e16).all():
+        ints = vals.astype(np.int64)  # repr(-0.0) keeps its sign
+        if (ints == vals).all() and not np.signbit(vals[ints == 0]).any():
+            return ints, ".0"
+    return None
+
+
+def _digit_lines(columns, sep, end):
+    """Lines of the int columns joined by `sep`, each ending in `end`,
+    as text laid out in one byte buffer: each field a block of rows of
+    digits, right-aligned after 0 bytes, which are then dropped."""
+    n = len(columns[0])
+    blocks = []
+    for x in columns:
+        neg = x < 0
+        mag = x.astype(np.uint64)
+        mag[neg] = -mag[neg]  # modulo 2**64: int64's minimum too
+        width = len(str(int(mag.max(initial=0))))
+        q = np.zeros((width + 1, n), dtype=np.uint64)  # mag // 10**(width-k)
+        for k in range(width):
+            q[width - k] = mag // np.uint64(10 ** k)
+        q8 = q.astype(np.uint8)  # a digit is its row less 10x the one above
+        digits = q8[1:] - np.uint8(10) * q8[:-1] + np.uint8(ord("0"))
+        digits[:-1] *= q[1:-1] > 0  # no leading zeros
+        if neg.any():
+            blocks.append(neg[None] * np.uint8(ord("-")))
+        blocks += [digits, np.full((1, n), ord(sep), dtype=np.uint8)]
+    blocks[-1] = np.frombuffer(end.encode(), np.uint8)[:, None].repeat(n, 1)
+    return np.vstack(blocks).T.tobytes().replace(b"\0", b"").decode()
 
 
 def write_matrix_market(path, a: SparseMatrix):
@@ -350,9 +440,10 @@ def read_matrix_market(path, sr: Semiring, default=None) -> SparseMatrix:
         # fields split on single spaces: one that int() or parse_text
         # accepts is a token of the line's split() padded with whitespace
         # they strip, so both parsers read the same entries
-        rows, cols, vals = _plain_columns(body, " ", (expected,), 1,
-                                          sr.domain.parse_text, default)
-        if not ((rows >= 0) & (rows < m) & (cols >= 0) & (cols < n)).all():
+        e = _plain_columns(body, " ", (expected,), 1, sr.domain.parse_text,
+                     default)
+        rows, cols, vals = e.out_vertices, e.in_vertices, e.weights
+        if not ((rows < m) & (cols < n)).all():
             raise ValueError("entry outside declared bounds")
     except (ValueError, OverflowError):
         rows, cols, vals = [], [], []

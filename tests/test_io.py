@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -315,9 +316,16 @@ class TestWriteEdgeList:
         assert b == a
 
 
+def line_parsed(path, one_based=False, value_parser=None):
+    """read_edge_list with the column path declined: the line parser."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_plain_columns", give_up)
+        return fileio.read_edge_list(path, one_based, value_parser)
+
+
 def reference_triples(path, one_based=False, value_parser=None, default=1):
     """read_triples by way of the line parser, as the CLI did before."""
-    edges = fileio.read_edge_list(path, one_based, value_parser)
+    edges = line_parsed(path, one_based, value_parser)
     return (*fileio.triples_from_edges(edges, default), edges.n_vertices)
 
 
@@ -360,6 +368,108 @@ def tsv_lines(draw, value, bad=False):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
+# lines the column path must read as the line parser does, or decline:
+# labeled lines out of the one form it rewrites, odd groups and weights,
+# and lines the line parser rejects
+ODD_EDGE_LINE = st.sampled_from([
+    "e1: in=2 out=3", "out=1 in=2 w=", "e1:out=1 in=2", "e1: out=1, in=2",
+    "e1: out=1 in=2 w=3 w=4", "e1: out=1 out=2 in=3", "out=1: in=2",
+    "a=b: out=1 in=2", "x: out=1 in=2 extra", "  e2: out=3 in=4 w=5  ",
+    "e3: out=1,,2 in=3", "e1: out=٤ in=1", "e1: out=+1 in=2 w=2.5",
+    "e1: out=1 in=2 w=1,5", "e1: out=1 in=2 w=7.0", "e1: out=0 in=1",
+    "e1: out=99999999999999999999 in=1", "e1:\tout=1\tin=2\tw=3",
+    "1\t2\tout=3", "1,\t2", "1\t,2", "1\t2\t3,4", "1\t2\t3\t4", "1,2",
+    "0\t1", "1\t2\t5.0", "1.0\t2", "01\t002\t0003", "1\t2 ", " 1\t2",
+    "\x0c# note", "\x0c", "1\t2\t1234567890123456789", "#x: out=1 in=2",
+    "  #e1: out=3 in=4 w=5", "#out=1 in=2", ": out=1 in=2 w=3"])
+
+
+@st.composite
+def edge_list_text(draw):
+    """An edge list of plain, comma-group and labeled lines of digit
+    vertices, all with weights or none, blank and `#` lines between
+    them, and at times one ODD_EDGE_LINE."""
+    group = st.lists(st.integers(0, 30).map(str), min_size=1,
+                     max_size=3).map(",".join)
+    weight = st.one_of(st.integers(1, 999).map(str), digit_field(1, 18))
+    if not draw(st.booleans()):
+        weight = st.none()
+    lines = []
+    for k in range(draw(st.integers(0, 10))):
+        o, i, w = draw(group), draw(group), draw(weight)
+        form = draw(st.sampled_from(["plain", "plain", "labeled", "other"]))
+        if form == "plain":
+            lines.append("\t".join([o, i] + ([w] if w else [])))
+        elif form == "labeled":
+            label = draw(st.sampled_from([f"e{k}: ", "", " x7:\t"]))
+            key = draw(st.sampled_from([" w=", " weight="]))
+            lines.append(f"{label}out={o} in={i}" + (key + w if w else ""))
+        else:
+            lines.append(draw(st.sampled_from(
+                ["", "  ", "# note, with commas", "\t# w=1.0"])))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(ODD_EDGE_LINE))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def edge_outcome(read, *args):
+    """The columns an edge-list reader returns, weights as reprs, or the
+    type and message of what it raises."""
+    try:
+        edges = read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return columns(edges)[:4], [repr(w) for w in edges.weights]
+
+
+class TestEdgeListColumns:
+    """Edge lists of plain, comma-group and labeled lines are read a
+    column at a time as the line parser reads them, errors included."""
+
+    @pytest.mark.parametrize("parse", [None, float, int])
+    def test_matches_line_parser(self, parse, tmp_path):
+        p = tmp_path / "e.tsv"
+        texts, line_reads, real = [], [], fileio._parse_lines
+
+        def spy(*args):
+            line_reads.append(args[0])
+            return real(*args)
+
+        @settings(max_examples=250, deadline=None)
+        @given(text=edge_list_text(), one_based=st.booleans())
+        def check(text, one_based):
+            texts.append(text)
+            p.write_text(text, encoding="utf-8")
+            args = (p, one_based, parse)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fileio, "_parse_lines", spy)
+                fast = edge_outcome(fileio.read_edge_list, *args)
+                triples = outcome(fileio.read_triples, *args)
+            assert fast == edge_outcome(line_parsed, *args)
+            assert triples == outcome(reference_triples, *args)
+
+        check()
+        assert len(line_reads) < 2 * len(texts)  # not every read fell back
+
+    def test_labeled_comment_stays_a_comment(self, tmp_path):
+        p = tmp_path / "e.tsv"
+        p.write_text("#x: out=1 in=2\n  #e1: out=3 in=4 w=5\n5\t6\n")
+        assert edge_outcome(fileio.read_edge_list, p, False, float) == \
+            edge_outcome(line_parsed, p, False, float) == \
+            (([0], [5], [0], [6]), ["None"])
+
+    def test_hyper_edge_file_takes_no_line_parser(self, tmp_path,
+                                                  monkeypatch):
+        p = tmp_path / "e.tsv"
+        p.write_text("# out\tin\tweight\n1,2\t3\t7\n\ne4: out=5 in=6,0 w=2\n"
+                     "  # w=1.0\nout=2 in=1 weight=9\n")
+        expected = edge_outcome(line_parsed, p, False, float)
+        monkeypatch.setattr(fileio, "_parse_lines", None)
+        assert edge_outcome(fileio.read_edge_list, p, False, float) == \
+            expected == (([0, 0, 1, 2], [1, 2, 5, 2], [0, 1, 1, 2],
+                          [3, 6, 0, 1]), ["7.0", "2.0", "9.0"])
+
+
 class TestReadTriples:
     @pytest.mark.parametrize("bad", [False, True])
     @pytest.mark.parametrize("sr,value", [(ARITH, REAL_VALUE),
@@ -380,7 +490,7 @@ class TestReadTriples:
     def test_plain_file_takes_no_line_parser(self, tmp_path, monkeypatch):
         p = tmp_path / "e.tsv"
         p.write_text("0\t1\t2.5\n3\t0\t1e3\n")
-        monkeypatch.setattr(fileio, "read_edge_list", None)
+        monkeypatch.setattr(fileio, "_parse_lines", None)
         rows, cols, vals, n = fileio.read_triples(p, value_parser=float)
         assert rows.dtype == cols.dtype == np.int64
         assert (rows.tolist(), cols.tolist(), vals, n) == \
@@ -392,7 +502,7 @@ class TestReadTriples:
         p.write_text("# Directed graph\n# FromNodeId\tToNodeId\n\n"
                      "0\t1\t2.5\n  \n3\t0\t1e3\n\t# note\n2\t2\t4\n\n# end")
         expected = outcome(reference_triples, p, False, float)
-        monkeypatch.setattr(fileio, "read_edge_list", None)
+        monkeypatch.setattr(fileio, "_parse_lines", None)
         rows, cols, vals, n = fileio.read_triples(p, value_parser=float)
         assert rows.dtype == cols.dtype == np.int64
         assert outcome(fileio.read_triples, p, False, float) == expected
@@ -418,6 +528,9 @@ class TestReadTriples:
 
 
 LONG = "".join(f"{k}\t{k + 1}\t1.5\n" for k in range(2000))
+HYPER = "# hyper-edges\n" + "".join(
+    f"{k},{k + 1}\t{k + 2}\t3\n" if k % 2 else
+    f"e{k}: out={k} in={k + 1},{k + 2} w=4\n" for k in range(2000))
 HEAD = "%%MatrixMarket matrix coordinate real general\n"
 BODY = "".join(f"{k % 9 + 1} {k % 7 + 1} 2.5\n" for k in range(2000))
 
@@ -437,7 +550,16 @@ class TestMalformedMessages:
          "expected 2 or 3 tab-separated fields, got 4"),
         (LONG + "5\t6\tabc\n", 2001, "non-numeric weight 'abc'"),
         (LONG + "e1: out=2 in=\n", 2001, "bad vertex index ''"),
-    ])
+    ] + [pytest.param(HYPER + bad, 2002, message, id=f"hyper-{k}")
+          for k, (bad, message) in enumerate([
+              ("e1: out=1 in=2 w=x\n", "non-numeric weight 'x'"),
+              ("1,x\t2\n", "bad vertex index 'x'"),
+              ("3\t4,-5\t1\n", "negative vertex index -5"),
+              ("e1: out=1\n", "labeled edge needs both out= and in="),
+              ("e1: out=1 in=2 z=3\n", "unknown key 'z' in labeled edge"),
+              ("e1: out=1 in=2 3\n", "bad token '3' in labeled edge"),
+              ("1,2\t3\t4\t5\n",
+               "expected 2 or 3 tab-separated fields, got 4")])])
     def test_tsv(self, tmp_path, text, line, message):
         p = tmp_path / "e.tsv"
         p.write_text(text)
@@ -688,7 +810,7 @@ class TestDigitTable:
 
     def test_plain_files_take_it(self, tmp_path, monkeypatch):
         tables = self.spy(monkeypatch)
-        monkeypatch.setattr(fileio, "read_edge_list", None)
+        monkeypatch.setattr(fileio, "_parse_lines", None)
         big = 123456789012345678  # float() rounds it as the cast does
         p = tmp_path / "e.tsv"
         p.write_text(f"# a comment\n0\t1\t5\n3\t0\t{big}\n")
@@ -720,6 +842,97 @@ class TestDigitTable:
         assert tables == [None]
 
 
+class TestPointZeroWeights:
+    """Weights of digits then `.0`, as graphmat writes real values, take
+    the digit table under a float parser and read as float(token) does;
+    other parsers read them as before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(weights=st.lists(st.one_of(digit_field(1, 18),
+                                      st.integers(2**53 - 2, 10**18 - 1)
+                                      .map(str)), min_size=1, max_size=8))
+    def test_equal_float_of_token(self, tmp_path_factory, weights):
+        d = tmp_path_factory.mktemp("dot")
+        tsv, mm = d / "e.tsv", d / "m.mtx"
+        tsv.write_text("".join(f"{k}\t{k + 1}\t{w}.0\n"
+                               for k, w in enumerate(weights)))
+        n = len(weights) + 1
+        mm.write_text(f"%%MatrixMarket matrix coordinate real general\n"
+                      f"{n} {n} {len(weights)}\n" + "".join(
+                          f"{k + 1} {k + 2} {w}.0\n"
+                          for k, w in enumerate(weights)))
+        with pytest.MonkeyPatch.context() as mp:
+            tables = TestDigitTable.spy(mp)
+            rows, cols, vals, top = fileio.read_triples(tsv,
+                                                        value_parser=float)
+            a = fileio.read_matrix_market(mm, ARITH)
+            assert len(tables) == 2 and all(t is not None for t in tables)
+        expected = [float(w + ".0") for w in weights]
+        assert list(map(repr, vals)) == list(map(repr, expected))
+        assert [a.get(k, k + 1, 0.0) for k in range(len(weights))] == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_digit_table", declined)
+            assert outcome(fileio.read_triples, tsv, False, float) == \
+                outcome(lambda *args: (rows, cols, vals, top))
+            assert fileio.read_matrix_market(mm, ARITH) == a
+
+    @pytest.mark.parametrize("parse", [None, int, NATURAL.domain.parse_text])
+    def test_other_parsers_read_as_before(self, parse, tmp_path):
+        p = tmp_path / "e.tsv"
+        p.write_text("0\t1\t5.0\n2\t3\t7.0\n")
+        got = outcome(fileio.read_triples, p, False, parse)
+        assert got == outcome(reference_triples, p, False, parse)
+        assert got == ((FormatError, f"{p}:1: non-numeric weight '5.0'")
+                       if parse else ([0, 2], [1, 3], ["5.0", "7.0"], [4]))
+        mm = tmp_path / "m.mtx"
+        mm.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                      "4 4 2\n1 2 5.0\n3 4 7.0\n")
+        with pytest.raises(FormatError) as err:
+            fileio.read_matrix_market(mm, NATURAL)
+        assert str(err.value) == f"{mm}:3: bad value '5.0'"
+
+    @pytest.mark.parametrize("text", ["0\t1\t5.0\n2\t3\t7\n",
+                                      "0\t1.0\n", "0\t1\t.0\n",
+                                      "0\t1\t5.00\n", "0\t1\t5.0 \n",
+                                      "0.0\t1\t5.0\n"])
+    def test_other_dots_decline(self, text, tmp_path, monkeypatch):
+        p = tmp_path / "e.tsv"
+        p.write_text(text)
+        expected = outcome(reference_triples, p, False, float)
+        tables = TestDigitTable.spy(monkeypatch)
+        assert outcome(fileio.read_triples, p, False, float) == expected
+        assert tables == [None]
+
+
+def edge_values(*specials, lo, hi):
+    """Integral floats from lo to hi, any float between, and specials."""
+    return st.one_of(st.sampled_from(specials),
+                     st.integers(int(lo), int(hi)).map(float),
+                     st.floats(lo, hi, allow_nan=False))
+
+
+# each built-in domain, under a semiring whose zero none of its edge
+# values equals, with those values: -0.0, 10**16 - 2 and 10**16,
+# 2**53 + 1, int64's ends, 2**64 - 1
+WRITER_CASES = {
+    "real": (gm.semiring_by_name("max-plus"), edge_values(
+        -0.0, 0.0, 1e16 - 2, 1e16, -(1e16 - 2), 2.0**53 + 1, -3.0, 2.5,
+        1e300, math.inf, lo=-1e17, hi=1e17)),
+    "real-nonneg": (gm.semiring_by_name("min-max"), edge_values(
+        -0.0, 1e16 - 2, 1e16, 2.0**53 + 1, 0.5, lo=0, hi=1e17)),
+    "real-nonpos": (gm.semiring_by_name("max-min", variant="nonpos"),
+                    edge_values(-0.0, -(1e16 - 2), -1e16, -2.0**53 - 1,
+                                -0.5, lo=-1e17, hi=0)),
+    "natural": (NATURAL, st.integers(1, 2**64 - 1) | st.sampled_from(
+        [1, 9, 10, 2**63, 2**64 - 1])),
+    "int64": (DOMAIN_SEMIRINGS["int64"], st.integers(-2**63, 2**63 - 1)
+              .filter(bool) | st.sampled_from([-2**63, 2**63 - 1, -1])),
+    "bool": (get_semiring("xor-and"), st.just(1)),
+    "set64": (gm.semiring_by_name("union-intersect", universe_size=64),
+              st.integers(1, 2**64 - 1) | st.just(2**64 - 1)),
+}
+
+
 class TestWriters:
     @pytest.mark.parametrize("name", ["arith-real", "arith-natural",
                                       "xor-and", "union-intersect"])
@@ -741,6 +954,35 @@ class TestWriters:
         else:
             assert body == "".join(
                 f"{r + 1} {c + 1} {render(v)}\n" for r, c, v in tri)
+
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 16])
+    @pytest.mark.parametrize("domain", list(WRITER_CASES))
+    def test_edge_values_match_render_path(self, domain, chunk, tmp_path,
+                                           monkeypatch):
+        sr, values = WRITER_CASES[domain]
+        monkeypatch.setattr(fileio, "_WRITE_CHUNK", chunk)
+        tsv, mm = tmp_path / "e.tsv", tmp_path / "m.mtx"
+
+        @settings(max_examples=60, deadline=None)
+        @given(cells=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9)),
+                              unique=True, max_size=12), data=st.data())
+        def check(cells, data):
+            vals = [data.draw(values) for _ in cells]
+            a = gm.build(sr, (7, 10), ([r for r, _ in cells],
+                                       [c for _, c in cells], vals))
+            tri = list(gm.extract_tuples(a))
+            render = a.domain.render
+            fileio.write_edge_list(tsv, a)
+            assert tsv.read_text() == "".join(
+                f"{r}\t{c}\t{render(v)}\n" for r, c, v in tri)
+            fileio.write_matrix_market(mm, a)
+            body = mm.read_text().split("\n", 3)[3]
+            assert body == "".join(
+                f"{r + 1} {c + 1}\n" if domain == "bool" else
+                f"{r + 1} {c + 1} {render(v)}\n" for r, c, v in tri)
+
+        check()
 
 
 class TestInputErrors:
