@@ -87,6 +87,21 @@ class Domain:
                     f"set value outside universe of {self.universe_size}"
                 )
 
+    def digits(self, values: np.ndarray):
+        """(ints, suffix) if render writes each of `values` as its
+        integer's digits then `suffix`: "" in integer-backed domains,
+        ".0" for reals integral below 1e16 in magnitude (an exponent
+        from there on) but -0.0. None if it writes any otherwise."""
+        if self.render is _render_int:
+            return (values.astype(np.uint64) if values.dtype == object
+                    else values), ""
+        if self.render is _render_real and (np.abs(values) < 1e16).all():
+            ints = values.astype(np.int64)
+            if (ints == values).all() and not np.signbit(
+                    values[ints == 0]).any():
+                return ints, ".0"
+        return None
+
 
 def _is_real(v):
     return (isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import Semiring, _render_int, _render_real
+from .algebra import Semiring
 from .errors import FormatError, IndexBoundsError
 from .kernels import _ranges
 from .matrix import SparseMatrix, build, extract_tuples
@@ -74,8 +74,9 @@ def _text(path):
 
 # a labeled line in the one form the column path reads as plain: label
 # (not a `#` comment's first word), out- and in-group, weight, each
-# token as the line parser splits it
-_LABELED = re.compile(r"^[^\S\n]*(?:(?!#)\S*:[^\S\n]+)?out=(\S+)"
+# token as the line parser splits it; an out-group never opens with `#`,
+# or its plain form would read as a comment
+_LABELED = re.compile(r"^[^\S\n]*(?:(?!#)\S*:[^\S\n]+)?out=(?!#)(\S+)"
                       r"[^\S\n]+in=(\S+)(?:[^\S\n]+w(?:eight)?=(\S+))?"
                       r"[^\S\n]*$", re.M)
 
@@ -342,26 +343,13 @@ def _write_entries(fh, a: SparseMatrix, sep, shift, values=True):
         rows, cols = tri.rows[part] + shift, tri.cols[part] + shift
         if not values:
             fh.write(_digit_lines((rows, cols), sep, "\n"))
-        elif (digits := _digit_values(a.domain, tri.vals[part])) is not None:
+        elif (digits := a.domain.digits(tri.vals[part])) is not None:
             ints, suffix = digits
             fh.write(_digit_lines((rows, cols, ints), sep, suffix + "\n"))
         else:
             vals = map(a.domain.render, tri.vals[part].tolist())
             fh.write("".join([f"{r}{sep}{c}{sep}{v}\n" for r, c, v
                               in zip(rows.tolist(), cols.tolist(), vals)]))
-
-
-def _digit_values(domain, vals):
-    """(ints, suffix) if `domain.render` writes each value as its int's
-    digits then the suffix, as for integral reals below 1e16; None if
-    it writes some otherwise."""
-    if domain.render is _render_int:
-        return vals.astype(np.uint64) if vals.dtype == object else vals, ""
-    if domain.render is _render_real and (np.abs(vals) < 1e16).all():
-        ints = vals.astype(np.int64)  # repr(-0.0) keeps its sign
-        if (ints == vals).all() and not np.signbit(vals[ints == 0]).any():
-            return ints, ".0"
-    return None
 
 
 def _digit_lines(columns, sep, end):
@@ -372,8 +360,7 @@ def _digit_lines(columns, sep, end):
     blocks = []
     for x in columns:
         neg = x < 0
-        mag = x.astype(np.uint64)
-        mag[neg] = -mag[neg]  # modulo 2**64: int64's minimum too
+        mag = np.abs(x).astype(np.uint64)  # int64's minimum wraps to 2**63
         width = len(str(int(mag.max(initial=0))))
         q = np.zeros((width + 1, n), dtype=np.uint64)  # mag // 10**(width-k)
         for k in range(width):
@@ -441,7 +428,7 @@ def read_matrix_market(path, sr: Semiring, default=None) -> SparseMatrix:
         # accepts is a token of the line's split() padded with whitespace
         # they strip, so both parsers read the same entries
         e = _plain_columns(body, " ", (expected,), 1, sr.domain.parse_text,
-                     default)
+                           default)
         rows, cols, vals = e.out_vertices, e.in_vertices, e.weights
         if not ((rows < m) & (cols < n)).all():
             raise ValueError("entry outside declared bounds")

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphmat as gm
 from graphmat import algebra, oracle
@@ -131,6 +133,54 @@ class TestNaN:
         real = semiring_by_name("arith-real").domain
         assert real.contains(math.inf) and real.contains(-math.inf)
         real.check_array(np.array([math.inf, -math.inf]))
+
+
+def float_values(*specials, lo, hi):
+    """Integral floats from lo to hi, any float between, and specials."""
+    return st.one_of(st.sampled_from(specials),
+                     st.integers(int(lo), int(hi)).map(float),
+                     st.floats(lo, hi, allow_nan=False))
+
+
+# each built-in domain with values at the edges of its digit form:
+# -0.0, 10**16 - 2 and 10**16, 2**53 + 1, int64's ends, 2**64 - 1
+DIGIT_CASES = [
+    (algebra.REAL, float_values(-0.0, 0.0, 1e16 - 2, 1e16, -(1e16 - 2),
+                                2.0**53 + 1, -3.0, 2.5, 1e300, math.inf,
+                                -math.inf, lo=-1e17, hi=1e17)),
+    (algebra.REAL_NONNEG, float_values(-0.0, 1e16 - 2, 1e16, 2.0**53 + 1,
+                                       0.5, lo=0, hi=1e17)),
+    (algebra.REAL_NONPOS, float_values(-0.0, -(1e16 - 2), -1e16,
+                                       -2.0**53 - 1, -0.5, lo=-1e17, hi=0)),
+    (algebra.NATURAL, st.integers(0, 2**64 - 1)),
+    (algebra.INTEGER, st.integers(-2**63, 2**63 - 1)
+     | st.sampled_from([-2**63, 2**63 - 1])),
+    (algebra.BOOL, st.integers(0, 1)),
+    (algebra.set_domain(64), st.integers(0, 2**64 - 1)
+     | st.just(2**64 - 1)),
+]
+
+
+class TestDigits:
+    @pytest.mark.parametrize("domain,values", DIGIT_CASES,
+                             ids=[d.name for d, _ in DIGIT_CASES])
+    def test_matches_render(self, domain, values):
+        """digits gives every value's digits and suffix exactly when
+        render writes each of them so."""
+
+        @settings(max_examples=200, deadline=None)
+        @given(xs=st.lists(values, max_size=6))
+        def check(xs):
+            text = [domain.render(v) for v in xs]
+            plain = all(t.lstrip("-").removesuffix(".0").isdigit()
+                        and t != "-0.0" for t in text)
+            got = domain.digits(np.array(xs, dtype=domain.dtype))
+            assert (got is not None) == plain
+            if got is not None:
+                ints, suffix = got
+                assert [f"{i}{suffix}" for i in ints.tolist()] == text
+
+        check()
 
 
 class TestLaws:

@@ -381,7 +381,8 @@ ODD_EDGE_LINE = st.sampled_from([
     "1\t2\tout=3", "1,\t2", "1\t,2", "1\t2\t3,4", "1\t2\t3\t4", "1,2",
     "0\t1", "1\t2\t5.0", "1.0\t2", "01\t002\t0003", "1\t2 ", " 1\t2",
     "\x0c# note", "\x0c", "1\t2\t1234567890123456789", "#x: out=1 in=2",
-    "  #e1: out=3 in=4 w=5", "#out=1 in=2", ": out=1 in=2 w=3"])
+    "  #e1: out=3 in=4 w=5", "#out=1 in=2", ": out=1 in=2 w=3",
+    "out=#1 in=2", "e1: out=#1,2 in=3", "e1: out=1 in=#2 w=3"])
 
 
 @st.composite
@@ -558,6 +559,8 @@ class TestMalformedMessages:
               ("e1: out=1\n", "labeled edge needs both out= and in="),
               ("e1: out=1 in=2 z=3\n", "unknown key 'z' in labeled edge"),
               ("e1: out=1 in=2 3\n", "bad token '3' in labeled edge"),
+              ("out=#1 in=2\n", "bad vertex index '#1'"),
+              ("e1: out=#1,2 in=3\n", "bad vertex index '#1'"),
               ("1,2\t3\t4\t5\n",
                "expected 2 or 3 tab-separated fields, got 4")])])
     def test_tsv(self, tmp_path, text, line, message):
