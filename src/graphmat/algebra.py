@@ -19,17 +19,6 @@ from .errors import DomainError
 
 U64_MAX = 2**64 - 1
 
-SEMIRING_NAMES = (
-    "arith-real",
-    "arith-natural",
-    "max-plus",
-    "min-plus",
-    "max-min",
-    "min-max",
-    "xor-and",
-    "union-intersect",
-)
-
 
 @dataclass(frozen=True)
 class Domain:

@@ -11,6 +11,8 @@ a value equal to the semiring's 0-element.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .algebra import BinaryOp, Semiring
@@ -30,6 +32,13 @@ _VXM_CHUNK_PRODUCTS = 1 << 13
 # a product folds into one slot per output position unless the slots
 # outnumber both this and four times the products
 _DENSE_MIN_SLOTS = 1 << 16
+# a masked one-row product pulls once its push products exceed
+# 1/_PULL_ALPHA of what a pull reads: the kept columns' in-edges, plus
+# ncols for its passes over bitmaps, plus _PULL_CALLS for its fixed
+# numpy calls (about 150 us at 15-25 ns a read, timed at scale 13); a
+# push product and a pull read cost about the same
+_PULL_ALPHA = 1
+_PULL_CALLS = 1 << 13
 
 
 def _ranges(starts, counts):
@@ -180,19 +189,53 @@ def _sort_fold(sr, b, pos, rows, x, counts, r0, r1, mask, complement):
 
 def _vxm(sr, ids, x, b, mask=None, complement=False):
     """vxm on arrays and unchecked, for traversal hops: the row storing
-    x at the ascending ids, times b, as (columns, values)."""
+    x at the ascending ids, times b, as (columns, values). Masked, it
+    pulls over b's cached transpose when that reads fewer entries."""
     starts = b.indptr[ids]
     counts = b.indptr[1:][ids] - starts  # products per entry of the row
     total, ncols = int(counts.sum()), b.ncols
-    if not _dense(ncols, total):
+    if not _dense(ncols, total):  # and so too few products to pull
         return _sort_fold(sr, b, _ranges(starts, counts), np.zeros(
             len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)[1:]
+    keep = _keep(mask, complement, 0, 1, ncols)
+    if keep is not None and _PULL_ALPHA * total > ncols + _PULL_CALLS:
+        # in-degrees: a square b's out-degrees until b^T is built
+        bt = b._transposed(build=b.nrows != ncols)
+        in_deg = np.diff(b.indptr if bt is None else bt.indptr)
+        if _PULL_ALPHA * total > in_deg[keep].sum() + ncols + _PULL_CALLS:
+            return _pull(sr, ids, x, b._transposed(), keep)
     # positions in one go when one chunk holds them all
     parts = (_chunks(starts, counts) if total > _VXM_CHUNK_PRODUCTS
              else [(0, len(ids), _ranges(starts, counts))])
     return _accumulate(sr, ncols, ((b.indices[p], sr.mul.ufunc(_wide(
         x[lo:hi].repeat(counts[lo:hi]), sr.domain), b.values[p]))
-        for lo, hi, p in parts), _keep(mask, complement, 0, 1, ncols))
+        for lo, hi, p in parts), keep)
+
+
+def _pull(sr, ids, x, bt, keep):
+    """Dot products: x, stored at the ascending ids, times each row of
+    bt that `keep` sets (every row if None), x as mul's left operand;
+    (rows, values) of those that end nonzero."""
+    rows = np.arange(bt.nrows) if keep is None else np.flatnonzero(keep)
+    # x as one slot per position plus a presence bitmap
+    present = np.zeros(bt.ncols, dtype=bool)
+    present[ids] = True
+    dense = np.zeros(bt.ncols, dtype=x.dtype)
+    dense[ids] = x
+    starts = bt.indptr[rows]
+    counts = bt.indptr[1:][rows] - starts
+
+    def chunks():
+        # slot s is row rows[s]; a row's products go in column order
+        for lo, hi, pos in _chunks(starts, counts):
+            cols = bt.indices[pos]
+            hit = np.flatnonzero(present[cols])  # faster than a bool index
+            slots = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            yield slots[hit], sr.mul.ufunc(
+                _wide(dense[cols[hit]], sr.domain), bt.values[pos[hit]])
+
+    kept, vals = _accumulate(sr, len(rows), chunks())
+    return rows[kept], vals
 
 
 def _check_mask(mask, nrows, ncols):
@@ -211,11 +254,6 @@ def _check_mask(mask, nrows, ncols):
             expected=f"bool array of shape ({nrows * ncols},)",
             actual=f"{getattr(mask, 'dtype', type(mask).__name__)} array "
                    f"of shape {np.shape(mask)}")
-
-
-def _positions(v):
-    """The positions a 1 x n or n x 1 vector stores, ascending."""
-    return v.indices if v.nrows == 1 else np.flatnonzero(np.diff(v.indptr))
 
 
 def _keep(mask, complement, r0, r1, ncols):
@@ -275,11 +313,11 @@ def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix, mask=None,
     """Matrix times column vector: w(i) = add-reduction over k of
     a(i,k) mul v(k); v must be n x 1.
 
-    Pull-style (dot products): only the rows of `a` that the mask keeps
-    are read, every row without a mask. `mask` is an nrows x 1 matrix
-    read by structure or a bool array of nrows entries (a bitmap): the
-    result keeps the rows it stores or sets, or with complement=True
-    the rows it does not.
+    Pull-style, by the dot products a masked vxm pulls with: only the
+    rows of `a` that the mask keeps are read, every row without a mask.
+    `mask` is an nrows x 1 matrix read by structure or a bool array of
+    nrows entries (a bitmap): the result keeps the rows it stores or
+    sets, or with complement=True the rows it does not.
     """
     if v.ncols != 1:
         raise DimensionError("mxv expects a column vector",
@@ -295,29 +333,12 @@ def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix, mask=None,
 
 
 def _mxv(sr, a, v, mask=None, complement=False):
-    keep = _keep(mask, complement, 0, a.nrows, 1)
-    rows = np.arange(a.nrows) if keep is None else np.flatnonzero(keep)
-    # v as one slot per position plus a presence bitmap
-    k = _positions(v)
-    present = np.zeros(a.ncols, dtype=bool)
-    present[k] = True
-    dense = np.zeros(a.ncols, dtype=v.values.dtype)
-    dense[k] = v.values
-    starts = a.indptr[rows]
-    counts = a.indptr[1:][rows] - starts
-
-    def chunks():
-        # slot s is row rows[s]; a row's products go in column order
-        for lo, hi, pos in _chunks(starts, counts):
-            cols = a.indices[pos]
-            hit = np.flatnonzero(present[cols])  # faster than a bool index
-            slots = np.repeat(np.arange(lo, hi), counts[lo:hi])
-            yield slots[hit], sr.mul.ufunc(
-                _wide(a.values[pos[hit]], sr.domain), dense[cols[hit]])
-
-    kept, vals = _accumulate(sr, len(rows), chunks())
-    return _csr(a.nrows, 1, rows[kept], np.zeros(len(kept), dtype=np.int64),
-                vals, sr.domain)
+    mul = BinaryOp(sr.mul.name, lambda x, y: sr.mul.fn(y, x),
+                   lambda x, y: sr.mul.ufunc(y, x), commutative=False)
+    rows, vals = _pull(replace(sr, mul=mul), np.flatnonzero(np.diff(
+        v.indptr)), v.values, a, _keep(mask, complement, 0, a.nrows, 1))
+    return _csr(a.nrows, 1, rows, np.zeros(len(rows), dtype=np.int64), vals,
+                sr.domain)
 
 
 def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
@@ -325,9 +346,11 @@ def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
     """Row vector times matrix: w(j) = add-reduction over k of
     f(k) mul a(k,j); f must be 1 x n.
 
-    Push-style, as `mxm` on the one-row matrix f: only the rows of `a`
-    that f stores are read, so the cost follows the out-edges of the
-    frontier, never nnz(a). `mask` is a 1 x ncols matrix read by
+    As `mxm` on the one-row matrix f. Unmasked it pushes: only the rows
+    of `a` that f stores are read, so the cost follows the out-edges of
+    the frontier. Masked, it pulls over the in-edges of the kept
+    columns when those are fewer, through a's transpose, which a builds
+    once, at O(nnz(a)), and keeps. `mask` is a 1 x ncols matrix read by
     structure or a bool array of ncols entries (a bitmap): the result
     keeps the columns it stores or sets, or with complement=True the
     columns it does not.

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 import graphmat as gm
-from graphmat import oracle
 from graphmat.matrix import check_no_stored_zero
+
+import oracle
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, GraphMatError
-from .matrix import SparseMatrix
+from graphmat.errors import DimensionError, GraphMatError
+from graphmat.matrix import SparseMatrix
 
 _MAX_DIM = 128
 

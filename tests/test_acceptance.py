@@ -12,11 +12,12 @@ import time
 from contextlib import contextmanager
 
 import graphmat as gm
-from graphmat import bench, fileio, graph, kernels, oracle
+from graphmat import bench, fileio, graph, kernels
 from graphmat.algebra import (INTEGER, OP_PLUS, OP_TIMES, make_semiring,
                               verify_semiring_laws)
 from graphmat.matrix import transpose
 
+import oracle
 from conftest import (DATA_DIR, NAMED_SEMIRINGS, assert_matches_dense,
                       get_semiring, load_fixture_adjacency, matrices_allclose,
                       random_matrix)

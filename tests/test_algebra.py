@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphmat as gm
-from graphmat import algebra, oracle
+from graphmat import algebra
 from graphmat.algebra import (
     BinaryOp,
     LawViolation,
@@ -22,6 +22,7 @@ from graphmat.algebra import (
 )
 from graphmat.errors import DomainError
 
+import oracle
 from conftest import (NAMED_SEMIRINGS, assert_matches_dense, get_semiring,
                       random_matrix)
 

@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphmat as gm
-from graphmat import kernels, oracle
+from graphmat import kernels
 from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError
 
+import oracle
 from conftest import assert_matches_dense
 
 TINY = 5e-324  # the least subnormal

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import graphmat as gm
-from graphmat import fileio, graph, oracle
+from graphmat import bench, fileio, graph, kernels
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 
+import oracle
 from conftest import (
     DATA_DIR,
     assert_matches_dense,
@@ -27,7 +28,8 @@ def fixture_incidence(sr=ARITH, hyper=False):
     return fileio.incidence_from_edges(sr, edges, 7)
 
 
-def random_digraph(rng, n, density=0.15, weights=False):
+def random_digraph(rng, n, density=0.15, weights=False, sr=None):
+    sr = sr or (MINPLUS if weights else ARITH)
     rows, cols, vals = [], [], []
     for i in range(n):
         for j in range(n):
@@ -35,8 +37,7 @@ def random_digraph(rng, n, density=0.15, weights=False):
                 rows.append(i)
                 cols.append(j)
                 vals.append(round(rng.uniform(0.5, 9.5), 3)
-                            if weights else 1.0)
-    sr = MINPLUS if weights else ARITH
+                            if weights else sr.one)
     return gm.build(sr, (n, n), (rows, cols, vals))
 
 
@@ -208,21 +209,21 @@ class TestBfs:
         res = gm.bfs_levels(a, [2])
         assert res.levels == [None, None, 0]
 
-    def test_random_vs_queue_oracle(self):
+    def test_random_vs_queue_oracle(self, sr=ARITH):
         rng = random.Random(42)
         for _ in range(50):
             n = rng.randint(2, 40)
-            a = random_digraph(rng, n)
+            a = random_digraph(rng, n, sr=sr)
             src = rng.randrange(n)
             got = gm.bfs_levels(a, [src]).levels
             want = oracle.dense_bfs(oracle.densify(a, 0.0), [src], 0.0)
             assert got == want
 
-    def test_multisource(self):
+    def test_multisource(self, sr=ARITH):
         rng = random.Random(17)
         for _ in range(10):
             n = rng.randint(3, 30)
-            a = random_digraph(rng, n)
+            a = random_digraph(rng, n, sr=sr)
             sources = rng.sample(range(n), rng.randint(1, 3))
             got = gm.bfs_levels(a, sources).levels
             want = oracle.dense_bfs(oracle.densify(a, 0.0), sources, 0.0)
@@ -258,11 +259,12 @@ class TestBfs:
 
     @pytest.mark.parametrize("case", ["one-source", "sources", "max-hops",
                                       "gf2"])
-    def test_parents_are_smallest_predecessor_one_level_up(self, case):
+    def test_parents_are_smallest_predecessor_one_level_up(self, case,
+                                                           sr=ARITH):
         rng = random.Random(42)
         for _ in range(40):
             n = rng.randint(2, 40)
-            a = random_digraph(rng, n)
+            a = random_digraph(rng, n, sr=sr)
             k = 1 if case == "one-source" else rng.randint(2, min(n, 4))
             sources = rng.sample(range(n), k)
             hops = rng.randint(1, 3) if case == "max-hops" else None
@@ -277,7 +279,7 @@ class TestBfs:
     def test_traversals_transpose_a_at_most_once(self, monkeypatch):
         # a pull hop on a digraph reads A^T, which A builds once and keeps;
         # every hop pulls here, as the default pulls on larger graphs only
-        monkeypatch.setattr(graph, "_PULL_ALPHA", math.inf)
+        monkeypatch.setattr(kernels, "_PULL_ALPHA", math.inf)
         a = random_digraph(random.Random(5), 30, weights=True)
         calls = []
         real_transpose = gm.matrix._transpose
@@ -302,15 +304,20 @@ class TestBfs:
 
     @pytest.mark.parametrize("alpha", [0, math.inf], ids=["push", "pull"])
     def test_one_direction_against_oracles(self, alpha, monkeypatch):
-        # alpha 0 pushes every hop, alpha inf pulls every hop over A^T
-        monkeypatch.setattr(graph, "_PULL_ALPHA", alpha)
-        self.test_random_vs_queue_oracle()
-        self.test_multisource()
-        for case in ("one-source", "sources", "max-hops", "gf2"):
-            self.test_parents_are_smallest_predecessor_one_level_up(case)
+        # alpha 0 pushes every hop, alpha inf pulls every hop over A^T;
+        # a hop gathers A's own values: floats, Python ints in an object
+        # array and uint8 booleans
+        monkeypatch.setattr(kernels, "_PULL_ALPHA", alpha)
+        for name in ("arith-real", "arith-natural", "or-and"):
+            sr = gm.semiring_by_name(name)
+            self.test_random_vs_queue_oracle(sr)
+            self.test_multisource(sr)
+            for case in ("one-source", "sources", "max-hops", "gf2"):
+                self.test_parents_are_smallest_predecessor_one_level_up(
+                    case, sr)
 
     def test_pull_reads_the_transpose(self, monkeypatch):
-        monkeypatch.setattr(graph, "_PULL_ALPHA", math.inf)
+        monkeypatch.setattr(kernels, "_PULL_ALPHA", math.inf)
         a = gm.build(ARITH, (3, 3), ([0, 1], [1, 2], [1.0, 1.0]))
         assert gm.bfs_levels(a, [0]).parents == [None, 0, 1]
         at = a._transposed(build=False)
@@ -327,6 +334,12 @@ class TestBfs:
         a = load_fixture_adjacency()
         with pytest.raises(IndexBoundsError):
             gm.bfs_levels(a, [7])
+
+    @pytest.mark.parametrize("sources", [[1.5], [0, 2.5], [math.nan], ["1"],
+                                         [[0, 1]]])
+    def test_non_integer_source(self, sources):
+        with pytest.raises(IndexBoundsError):
+            gm.bfs_levels(load_fixture_adjacency(), sources)
 
     def test_gf2_mode_cancels_even_multiplicity(self):
         # two distinct length-1 walks 0->2 (via the multi-structure of
@@ -380,6 +393,12 @@ class TestSssp:
             for u, v, w in gm.extract_tuples(a):
                 assert dist[v] <= dist[u] + w + 1e-12
 
+    @pytest.mark.parametrize("source", [1.5, math.nan, -1, 2, "1", [0]])
+    def test_source_outside_or_not_integer(self, source):
+        a = gm.build(MINPLUS, (2, 2), ([0], [1], [3.5]))
+        with pytest.raises(IndexBoundsError):
+            gm.sssp_minplus(a, source)
+
     def test_negative_weight_rejected(self):
         a = gm.build(MINPLUS, (2, 2), ([0], [1], [-1.0]))
         with pytest.raises(DomainError):
@@ -387,9 +406,9 @@ class TestSssp:
 
 
 class TestHopsOnArrays:
-    """BFS push hops and SSSP rounds multiply the frontier's ids and
-    values with `_vxm`: a traversal constructs the same number of
-    SparseMatrix objects however many hops it takes."""
+    """BFS hops and SSSP rounds multiply the frontier's ids and values
+    with `_vxm`, which pushes or pulls on arrays: a traversal constructs
+    the same number of SparseMatrix objects however many hops it takes."""
 
     @staticmethod
     def _count(monkeypatch, traversal):
@@ -414,6 +433,20 @@ class TestHopsOnArrays:
         assert len(set(made)) == 1
         if not gf2:  # corner to corner, every hop a push
             assert products[2] == 2 * 47 + 1
+
+    @pytest.mark.parametrize("gf2", [False, True])
+    def test_bfs_pulling_from_an_rmat_hub(self, gf2, monkeypatch):
+        a = bench.rmat_graph(ARITH, 10, 16, 1)
+        hub = int(np.argmax(np.diff(a.indptr)))
+        a._transposed()  # the first pull builds A^T once; count after it
+        pulls = []
+        pull = kernels._pull
+        monkeypatch.setattr(kernels, "_pull",
+                            lambda *p: pulls.append(1) or pull(*p))
+        made = [self._count(monkeypatch, lambda: gm.bfs_levels(
+            a, [hub], max_hops=hops, gf2=gf2))[0] for hops in (1, 2, None)]
+        assert pulls
+        assert len(set(made)) == 1
 
     def test_sssp_on_grids(self, monkeypatch):
         grids = [grid(8), grid(48)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphmat as gm
-from graphmat import kernels, oracle
+from graphmat import kernels
 from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import (
     DimensionError,
@@ -16,6 +16,7 @@ from graphmat.errors import (
 )
 from graphmat.matrix import SparseMatrix, check_no_stored_zero
 
+import oracle
 from conftest import (
     NAMED_SEMIRINGS,
     assert_matches_dense,
@@ -503,6 +504,38 @@ class TestVxm:
             assert got.indices.tolist() == cols[want.indices].tolist()
             assert got.values.tolist() == pytest.approx(
                 want.values.tolist(), rel=1e-12)
+
+    def test_rectangular_mask_pulls_against_oracle(self, monkeypatch):
+        # a full frontier over 3,000 x 500 pushes 60,000 products, so the
+        # masked product pulls over A^T; A's 3,000 out-degrees say
+        # nothing of its 500 columns' in-degrees
+        pulls = []
+        pull = kernels._pull
+        monkeypatch.setattr(kernels, "_pull",
+                            lambda *a: pulls.append(1) or pull(*a))
+        rng = np.random.default_rng(59)
+        m, n = 3000, 500
+        keys = rng.choice(m * n, 60000, replace=False)
+        a = gm.build(ARITH, (m, n), (keys // n, keys % n,
+                                     rng.integers(1, 9, 60000) * 1.0))
+        f = gm.build(ARITH, (1, m), ([0] * m, range(m),
+                                     rng.integers(1, 9, m) * 1.0))
+        masked = np.arange(n) % 3 == 0
+        got = gm.vxm(ARITH, f, a, mask=masked, complement=True)
+        assert pulls == [1]
+        # the oracle takes at most 128 x 128: sum its products over
+        # blocks of 125 rows, exact on these small integers
+        for c in range(0, n, 125):
+            cols = list(range(c, c + 125))
+            want = oracle.DenseMatrix(1, 125, 0.0)
+            for r in range(0, m, 125):
+                rows = list(range(r, r + 125))
+                part = oracle.dense_mxm(
+                    ARITH, oracle.densify(gm.extract(f, [0], rows), 0.0),
+                    oracle.densify(gm.extract(a, rows, cols), 0.0))
+                for j in range(125):
+                    want[0, j] += part[0, j] * (not masked[c + j])
+            assert_matches_dense(gm.extract(got, [0], cols), want, 0.0)
 
     def test_empty_frontier(self, rng):
         a = random_matrix(ARITH, rng, 5, 4, density=0.6)

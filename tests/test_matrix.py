@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import graphmat as gm
-from graphmat import oracle
 from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 from graphmat.matrix import check_no_stored_zero, coalesce
 
+import oracle
 from conftest import (
     NAMED_SEMIRINGS,
     assert_matches_dense,

@@ -3,9 +3,10 @@ import math
 import pytest
 
 import graphmat as gm
-from graphmat import kernels, oracle
+from graphmat import kernels
 from graphmat.errors import GraphMatError
 
+import oracle
 from conftest import random_matrix
 
 ARITH = gm.semiring_by_name("arith-real")
