@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .matrix import (SparseMatrix, _csr, _fold, _narrow, _order, _wide,
-                     coalesce)
+from .matrix import (SparseMatrix, _argsort, _csr, _fold, _narrow, _order,
+                     _wide, coalesce)
 
 # the block cap: expanded products per multiply block. Blocks end on
 # row boundaries (a row above the cap is a block of its own), and a
@@ -199,10 +199,13 @@ def _vxm(sr, ids, x, b, mask=None, complement=False):
             len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)[1:]
     keep = _keep(mask, complement, 0, 1, ncols)
     if keep is not None and _PULL_ALPHA * total > ncols + _PULL_CALLS:
-        # in-degrees: a square b's out-degrees until b^T is built
-        bt = b._transposed(build=b.nrows != ncols)
-        in_deg = np.diff(b.indptr if bt is None else bt.indptr)
-        if _PULL_ALPHA * total > in_deg[keep].sum() + ncols + _PULL_CALLS:
+        # the kept columns' in-edges, from b^T once built; until then a
+        # square b's out-degrees stand in and a rectangular b counts them
+        bt = b._transposed(build=False)
+        reads = (np.diff(b.indptr if bt is None else bt.indptr)[keep].sum()
+                 if bt is not None or b.nrows == ncols
+                 else np.count_nonzero(keep[b.indices]))
+        if _PULL_ALPHA * total > reads + ncols + _PULL_CALLS:
             return _pull(sr, ids, x, b._transposed(), keep)
     # positions in one go when one chunk holds them all
     parts = (_chunks(starts, counts) if total > _VXM_CHUNK_PRODUCTS
@@ -440,7 +443,7 @@ def _extract(a, i, j):
     cols_exp = a.indices[pos]
     vals_exp = a.values[pos]
     # fan each source column out to every output column that selects it
-    j_order = np.argsort(j, kind="stable")
+    j_order = _argsort(j, a.ncols)
     j_sorted = j[j_order]
     left = np.searchsorted(j_sorted, cols_exp, side="left")
     right = np.searchsorted(j_sorted, cols_exp, side="right")

@@ -130,13 +130,31 @@ def _check_dims(nrows, ncols):
                              actual=f"{nrows}x{ncols}")
 
 
+# keys in fewer ascending runs than this take numpy's timsort, which
+# merges runs in linear time, the rest the radix sort: on 2**17-2**20
+# keys below 2**28 timsort won up to 16 runs and lost from 256 (2-vCPU
+# host). A run's end shows as 8 descents 8 places apart; closer disorder
+# (one product row's columns) costs timsort's insertion sort little
+_RADIX_MIN_RUNS = 64
+
+
+def _argsort(keys, span):
+    """np.argsort(keys, kind="stable") for int64 keys in [0, span): an LSD
+    radix sort, one stable uint16 argsort (which numpy radix-sorts) per
+    16 bits of span - 1, unless the keys fall into few ascending runs."""
+    if 1 + np.count_nonzero(keys[8:] < keys[:-8]) // 8 < _RADIX_MIN_RUNS:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, int(span - 1).bit_length(), 16):
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
 def _order(rows, cols, nrows, ncols):
     """Stable row-major order of (rows, cols): equal keys keep input order."""
-    if nrows * ncols <= 2**16:  # numpy radix-sorts 16-bit keys
-        return np.argsort((rows * ncols + cols).astype(np.uint16),
-                          kind="stable")
     if nrows * ncols < 2**62:
-        return np.argsort(rows * ncols + cols, kind="stable")
+        return _argsort(rows * ncols + cols, nrows * ncols)
     return np.lexsort((cols, rows))
 
 
@@ -302,8 +320,7 @@ def _transpose(a: SparseMatrix) -> SparseMatrix:
     """Gustavson's permuted transposition (1978): CSR rows ascend, so a
     stable order of the column indices alone lists each column's
     entries by ascending row."""
-    keys = a.indices.astype(np.uint16) if a.ncols <= 2**16 else a.indices
-    order = np.argsort(keys, kind="stable")  # a radix sort for uint16
+    order = _argsort(a.indices, a.ncols)
     return SparseMatrix(a.ncols, a.nrows, _indptr(a.ncols, a.indices),
                         a.row_arrays()[order], a.values[order], a.domain)
 

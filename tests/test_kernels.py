@@ -509,6 +509,22 @@ class TestVxm:
         # a full frontier over 3,000 x 500 pushes 60,000 products, so the
         # masked product pulls over A^T; A's 3,000 out-degrees say
         # nothing of its 500 columns' in-degrees
+        pulls, a = self._rectangular_against_oracle(monkeypatch, 3)
+        assert pulls == [1]
+        assert a._transposed(build=False) is not None
+
+    def test_rectangular_mask_pushes_without_transpose(self, monkeypatch):
+        # with one column masked out the kept columns' in-edges outweigh
+        # the push; counting them must not build and keep A^T
+        pulls, a = self._rectangular_against_oracle(monkeypatch, 500)
+        assert pulls == []
+        assert a._transposed(build=False) is None
+
+    @staticmethod
+    def _rectangular_against_oracle(monkeypatch, every):
+        """A full frontier times a 3,000 x 500 matrix, masked by the
+        complement of every `every`-th column, against the dense oracle;
+        (one entry per pull, the matrix)."""
         pulls = []
         pull = kernels._pull
         monkeypatch.setattr(kernels, "_pull",
@@ -520,9 +536,8 @@ class TestVxm:
                                      rng.integers(1, 9, 60000) * 1.0))
         f = gm.build(ARITH, (1, m), ([0] * m, range(m),
                                      rng.integers(1, 9, m) * 1.0))
-        masked = np.arange(n) % 3 == 0
+        masked = np.arange(n) % every == 0
         got = gm.vxm(ARITH, f, a, mask=masked, complement=True)
-        assert pulls == [1]
         # the oracle takes at most 128 x 128: sum its products over
         # blocks of 125 rows, exact on these small integers
         for c in range(0, n, 125):
@@ -536,6 +551,7 @@ class TestVxm:
                 for j in range(125):
                     want[0, j] += part[0, j] * (not masked[c + j])
             assert_matches_dense(gm.extract(got, [0], cols), want, 0.0)
+        return pulls, a
 
     def test_empty_frontier(self, rng):
         a = random_matrix(ARITH, rng, 5, 4, density=0.6)
@@ -728,6 +744,31 @@ class TestExtract:
         a = random_matrix(ARITH, rng, 4, 4)
         with pytest.raises(IndexBoundsError):
             gm.extract(a, [0, 4], [0])
+
+    @pytest.mark.parametrize("ncols", [2**16 + 1, 10**6])
+    def test_wide_permuted_and_repeated_against_oracle(self, rng, ncols):
+        # a's 90 columns spread over ncols in order; j permuted (timsort
+        # orders it), then 2,000 draws with repeats (the radix sort),
+        # checked 125 result columns at a time
+        n = 90
+        wide = np.array(sorted(rng.sample(range(ncols), n)))
+        for _ in range(3):
+            m = rng.randint(1, 20)
+            a = random_matrix(ARITH, rng, m, n, density=0.3)
+            a_wide = gm.build(ARITH, (m, ncols), (
+                a.row_arrays(), wide[a.indices], a.values))
+            i = [rng.randrange(m) for _ in range(rng.randint(1, 12))]
+            for j in (rng.sample(range(n), n),
+                      [rng.randrange(n) for _ in range(2000)]):
+                got = gm.extract(a_wide, i, wide[j])
+                assert got.dims == (len(i), len(j))
+                for q in range(0, len(j), 125):
+                    block = list(range(q, min(q + 125, len(j))))
+                    want = oracle.dense_extract(
+                        oracle.densify(a, 0.0), i, [j[k] for k in block],
+                        0.0)
+                    assert_matches_dense(
+                        gm.extract(got, range(len(i)), block), want, 0.0)
 
 
 class TestIndexVectors:

@@ -4,11 +4,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphmat as gm
 from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
-from graphmat.matrix import check_no_stored_zero, coalesce
+from graphmat.matrix import (
+    _RADIX_MIN_RUNS,
+    _argsort,
+    _order,
+    check_no_stored_zero,
+    coalesce,
+)
 
 import oracle
 from conftest import (
@@ -180,8 +188,7 @@ class TestTranspose:
     @pytest.mark.parametrize("ncols", [1, 9, 2**16, 2**16 + 1, 10**6])
     def test_column_order_equals_row_major_sort(self, rng, ncols):
         # the old transpose: a stable row-major sort of (col, row) keys;
-        # the column order alone must give the same arrays, uint16 keys
-        # up to 2**16 columns and int64 above
+        # the column order alone must give the same arrays
         for _ in range(20):
             nrows = rng.randint(1, 30)
             k = rng.randint(0, 60)
@@ -200,6 +207,25 @@ class TestTranspose:
                     np.bincount(a.indices, minlength=ncols)))))
             assert np.array_equal(at.indices, r[order])
             assert np.array_equal(at.values, a.values[order])
+
+    @pytest.mark.parametrize("ncols", [2**16 + 1, 10**6])
+    def test_wide_against_dense_oracle(self, rng, ncols):
+        # a's 90 columns spread over ncols in order; CSR keys run one per
+        # row, so 1-20 rows take timsort and 80-120 rows the radix sort
+        n = 90
+        wide = np.array(sorted(rng.sample(range(ncols), n)))
+        for m in [rng.randint(1, 20) for _ in range(5)] + [
+                rng.randint(80, 120) for _ in range(5)]:
+            a = random_matrix(ARITH, rng, m, n, density=0.5)
+            d = oracle.densify(a, 0.0)
+            at = gm.transpose(gm.build(ARITH, (m, ncols), (
+                a.row_arrays(), wide[a.indices], a.values)))
+            assert at.dims == (ncols, m) and at.nnz == a.nnz
+            assert np.all(np.diff(at.indptr)[np.setdiff1d(
+                np.arange(ncols), wide)] == 0)
+            for q in range(n):
+                for p in range(m):
+                    assert at.get(wide[q], p, 0.0) == d[p, q]
 
     def test_public_transpose_is_not_cached(self, rng):
         a = random_matrix(ARITH, rng, 4, 6)
@@ -246,15 +272,79 @@ class TestNaNRejected:
 class TestOrder:
     @pytest.mark.parametrize("dims", [(16, 4096), (17, 4096)])
     def test_stable_row_major_on_either_side_of_16_bit_keys(self, dims):
-        # 16 x 4096 keys fit 16 bits and take numpy's radix sort; one
-        # more row takes the int64 sort; both must keep input order
-        from graphmat.matrix import _order
-
+        # 16 x 4096 keys fit 16 bits and take one radix pass; one more
+        # row takes a second; both must keep input order
         rng = np.random.default_rng(3)
         rows = rng.integers(0, dims[0], 5000)
         cols = rng.integers(0, dims[1], 5000)
         assert np.array_equal(_order(rows, cols, *dims),
                               np.lexsort((cols, rows)))
+
+
+def _keys_in(rng, span, runs, n):
+    """n keys in [0, span) from a pool of about 30, most of them ties:
+    the pool holds 0, span - 1 and the keys beside each 16-bit digit
+    boundary below span. `runs` is a count of ascending runs, each led
+    by 8 of the pool's least key and ended by 8 of its greatest, so that
+    each run's end shows as 8 descents 8 places apart; "random"; or
+    "local", keys drawn from all of [0, span), sorted and then shuffled
+    within each 4 places."""
+    pool = np.unique(np.r_[[0, span - 1], [
+        b + d for b in (2**16, 2**32, 2**48) for d in (-1, 0)
+        if b + d < span], rng.integers(0, span, 20)])
+    keys = rng.choice(pool, n)
+    if runs == "random":
+        return keys
+    if runs == "local":
+        keys = np.sort(rng.integers(0, span, n - n % 4)).reshape(-1, 4)
+        return rng.permuted(keys, axis=1).ravel()
+    return np.concatenate([np.r_[[pool[0]] * 8, np.sort(part),
+                                 [pool[-1]] * 8]
+                           for part in np.array_split(keys, runs)])
+
+
+class TestArgsort:
+    """`_order` against lexsort, at each 16-bit pass boundary, on keys in
+    few runs (timsort) and in many (the radix sort)."""
+
+    # row x column splits of 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**48,
+    # 2**48 + 1 and 2**62 - 1
+    DIMS = [(2**8, 2**8), (1, 2**16 + 1), (2**16, 2**16), (641, 6700417),
+            (2**16, 2**32), (193, (2**48 + 1) // 193),
+            (3, (2**62 - 1) // 3)]
+
+    @pytest.mark.parametrize("runs", [1, 2, _RADIX_MIN_RUNS - 1,
+                                      _RADIX_MIN_RUNS, "random", "local"])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_order_equals_lexsort(self, dims, runs, monkeypatch):
+        # "local" keys descend about every 3 places, but only within 4
+        # places: timsort sorts them
+        nrows, ncols = dims
+        span = nrows * ncols
+        keys = _keys_in(np.random.default_rng(span % 1009), span, runs, 3000)
+        rows, cols = keys // ncols, keys % ncols
+        sorted_dtypes, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, **kw: (
+            sorted_dtypes.append(a.dtype) or argsort(a, **kw)))
+        got = _order(rows, cols, nrows, ncols)
+        monkeypatch.undo()
+        assert np.array_equal(got, np.lexsort((cols, rows)))
+        if runs == "random" or (runs != "local"
+                                and runs >= _RADIX_MIN_RUNS):
+            passes = -(-int(span - 1).bit_length() // 16)  # one per 16 bits
+            assert sorted_dtypes == [np.dtype(np.uint16)] * passes
+        else:
+            assert sorted_dtypes == [np.dtype(np.int64)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(span=st.integers(2, 2**62 - 1), seed=st.integers(0, 2**32 - 1),
+           runs=st.one_of(st.sampled_from(["random", "local"]),
+                          st.integers(1, 2 * _RADIX_MIN_RUNS)),
+           n=st.integers(0, 3000))
+    def test_argsort_equals_stable_argsort(self, span, seed, runs, n):
+        keys = _keys_in(np.random.default_rng(seed), span, runs, n)
+        assert np.array_equal(_argsort(keys, span),
+                              np.argsort(keys, kind="stable"))
 
 
 class TestConvertMixedPythonInts:
