@@ -50,7 +50,8 @@ class Domain:
 
         Used on bulk entry and at the shared fold of every kernel,
         where per-scalar checks would be too slow (e.g. natural overflow
-        after a reduction).
+        after a reduction). A domain not named as a built-in one has
+        its `contains` applied to each value.
         """
         if len(values) == 0:
             return
@@ -75,6 +76,9 @@ class Domain:
                 raise DomainError(
                     f"set value outside universe of {self.universe_size}"
                 )
+        elif self.name not in ("real", "integer"):  # no array rule
+            for v in values.tolist():
+                self.validate(v)
 
     def digits(self, values: np.ndarray):
         """(ints, suffix) if render writes each of `values` as its

@@ -19,8 +19,7 @@ import numpy as np
 
 from .algebra import Semiring
 from .errors import FormatError, IndexBoundsError
-from .kernels import _ranges
-from .matrix import SparseMatrix, build, extract_tuples
+from .matrix import SparseMatrix, _ranges, build, extract_tuples
 
 
 @dataclass(eq=False)

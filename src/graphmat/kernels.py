@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .matrix import (SparseMatrix, _argsort, _csr, _fold, _narrow, _order,
-                     _wide, coalesce)
+from .matrix import (SparseMatrix, _argsort, _csr, _find, _fold, _narrow,
+                     _order, _ranges, _wide, coalesce)
 
 # the block cap: expanded products per multiply block. Blocks end on
 # row boundaries (a row above the cap is a block of its own), and a
@@ -32,21 +32,12 @@ _VXM_CHUNK_PRODUCTS = 1 << 13
 # a product folds into one slot per output position unless the slots
 # outnumber both this and four times the products
 _DENSE_MIN_SLOTS = 1 << 16
-# a masked one-row product pulls once its push products exceed
-# 1/_PULL_ALPHA of what a pull reads: the kept columns' in-edges, plus
-# ncols for its passes over bitmaps, plus _PULL_CALLS for its fixed
-# numpy calls (about 150 us at 15-25 ns a read, timed at scale 13); a
-# push product and a pull read cost about the same
-_PULL_ALPHA = 1
+# a masked one-row product pulls once its push products exceed what a
+# pull reads: the kept columns' in-edges, plus ncols for its passes over
+# bitmaps, plus _PULL_CALLS for its fixed numpy calls (about 150 us at
+# 15-25 ns a read, timed at scale 13); a push product and a pull read
+# cost about the same
 _PULL_CALLS = 1 << 13
-
-
-def _ranges(starts, counts):
-    """Concatenate ranges(starts[k], starts[k] + counts[k]) into one
-    flat index array; ndarray methods, as it runs on every hop."""
-    flat = (starts - counts.cumsum() + counts).repeat(counts)
-    flat += np.arange(len(flat))
-    return flat
 
 
 def _check_domains(domain, *mats):
@@ -180,7 +171,9 @@ def _sort_fold(sr, b, pos, rows, x, counts, r0, r1, mask, complement):
     `pos`, masked, sorted and folded: (rows, columns, values)."""
     i, j, x = rows.repeat(counts), b.indices[pos], x.repeat(counts)
     if mask is not None:
-        hit = np.flatnonzero(_hits(mask, r0, r1, b.ncols, i, j) != complement)
+        hit = (_find(mask, r0, r1, i, j)[1] if isinstance(mask, SparseMatrix)
+               else mask[(i + r0) * b.ncols + j])
+        hit = np.flatnonzero(hit != complement)
         pos, i, j, x = pos[hit], i[hit], j[hit], x[hit]
     prod = sr.mul.ufunc(_wide(x, sr.domain), b.values[pos])
     order = _order(i, j, r1 - r0, b.ncols)
@@ -198,14 +191,14 @@ def _vxm(sr, ids, x, b, mask=None, complement=False):
         return _sort_fold(sr, b, _ranges(starts, counts), np.zeros(
             len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)[1:]
     keep = _keep(mask, complement, 0, 1, ncols)
-    if keep is not None and _PULL_ALPHA * total > ncols + _PULL_CALLS:
+    if keep is not None and total > ncols + _PULL_CALLS:
         # the kept columns' in-edges, from b^T once built; until then a
         # square b's out-degrees stand in and a rectangular b counts them
         bt = b._transposed(build=False)
         reads = (np.diff(b.indptr if bt is None else bt.indptr)[keep].sum()
                  if bt is not None or b.nrows == ncols
                  else np.count_nonzero(keep[b.indices]))
-        if _PULL_ALPHA * total > reads + ncols + _PULL_CALLS:
+        if total > reads + ncols + _PULL_CALLS:
             return _pull(sr, ids, x, b._transposed(), keep)
     # positions in one go when one chunk holds them all
     parts = (_chunks(starts, counts) if total > _VXM_CHUNK_PRODUCTS
@@ -273,26 +266,6 @@ def _keep(mask, complement, r0, r1, ncols):
     else:
         bitmap = mask[r0 * ncols:r1 * ncols]
     return ~bitmap if complement else bitmap
-
-
-def _hits(mask, r0, r1, ncols, i, j):
-    """Whether the mask stores or sets each position (r0 + i[k], j[k]);
-    a structural mask is binary-searched: one row's sorted columns as
-    they are, several rows as (row, column) records, which compare in
-    its row-major order and which no column count overflows."""
-    if not isinstance(mask, SparseMatrix):
-        return mask[(i + r0) * ncols + j]
-    lo, hi = mask.indptr[r0], mask.indptr[r1]
-    if r1 - r0 == 1:
-        have = mask.indices[lo:hi]
-        k = have.searchsorted(j)
-        hit = k < len(have)
-        hit[hit] = have[k[hit]] == j[hit]
-        return hit
-    rows = np.repeat(np.arange(r1 - r0), np.diff(mask.indptr[r0:r1 + 1]))
-    have, want = (np.rec.fromarrays(p, names="i,j") for p in (
-        (np.append(rows, -1), np.append(mask.indices[lo:hi], -1)), (i, j)))
-    return have[np.searchsorted(have[:-1], want)] == want  # -1: no match
 
 
 def _chunks(starts, counts):
@@ -405,19 +378,17 @@ def ewise_mult(op: BinaryOp, zero, a: SparseMatrix,
 
 
 def _ewise_mult(op, zero, a, b):
-    rows = np.concatenate([a.row_arrays(), b.row_arrays()])
-    cols = np.concatenate([a.indices, b.indices])
-    vals = np.concatenate([a.values, b.values])
-    order = _order(rows, cols, a.nrows, a.ncols)  # a's entry precedes b's
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    # keep only keys stored in both: each is a run of two, folded as op(a, b)
-    same = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-    both = np.zeros(len(rows), dtype=bool)
-    both[1:] = same
-    both[:-1] |= same
-    rows, cols, vals = _fold(rows[both], cols[both], vals[both], op, zero,
-                             a.domain)
-    return _csr(a.nrows, a.ncols, rows, cols, vals, a.domain)
+    """b's entries that a stores too, op applied as op(a's, b's) to each
+    pair only; the zeros dropped and op's results checked."""
+    rows = b.row_arrays()
+    k, hit = _find(a, 0, a.nrows, rows, b.indices)
+    vals = _narrow(op.ufunc(_wide(a.values[k[hit]], a.domain),
+                            b.values[hit]), a.domain)
+    keep = vals != zero
+    vals = vals[keep]
+    a.domain.check_array(vals)
+    return _csr(a.nrows, a.ncols, rows[hit][keep], b.indices[hit][keep],
+                vals, a.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ class SparseMatrix:
                 f"nnz={self.nnz}, domain={self.domain.name})")
 
 
+def _ranges(starts, counts):
+    """Concatenate ranges(starts[k], starts[k] + counts[k]) into one
+    flat index array; ndarray methods, as it runs on every hop."""
+    flat = (starts - counts.cumsum() + counts).repeat(counts)
+    flat += np.arange(len(flat))
+    return flat
+
+
 def empty_matrix(sr: Semiring, nrows, ncols) -> SparseMatrix:
     _check_dims(nrows, ncols)
     empty = np.empty(0, dtype=np.int64)
@@ -158,6 +166,24 @@ def _order(rows, cols, nrows, ncols):
     return np.lexsort((cols, rows))
 
 
+def _find(m, r0, r1, i, j):
+    """(k, hit): where each position (r0 + i[k], j[k]) falls among the
+    stored entries of m's rows r0..r1-1, and whether m stores it there.
+    One binary search of row-major keys, fused while they fit in int64
+    as in `_order`, else (row, column) records."""
+    lo, hi = m.indptr[r0], m.indptr[r1]
+    rows = np.repeat(np.arange(r1 - r0), np.diff(m.indptr[r0:r1 + 1]))
+    # an entry at (-1, -1) past the last, which no position matches
+    rows, cols = np.append(rows, -1), np.append(m.indices[lo:hi], -1)
+    if (r1 - r0) * m.ncols < 2**62:
+        have, want = rows * m.ncols + cols, i * m.ncols + j
+    else:
+        have, want = (np.rec.fromarrays(p, names="i,j")
+                      for p in ((rows, cols), (i, j)))
+    k = have[:-1].searchsorted(want)
+    return k, have[k] == want
+
+
 def _wide(vals, domain: Domain):
     """`vals` ready for arithmetic in `domain`: int64 values become Python
     ints, so products and sums cannot wrap; `_narrow` turns them back and
@@ -190,20 +216,16 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
         k = int(np.flatnonzero(~boundary)[0])
         raise GraphMatError(
             f"duplicate entry at ({rows[k]}, {cols[k]}) in strict mode")
-    starts = np.flatnonzero(boundary)
+    starts, rest = np.flatnonzero(boundary), np.flatnonzero(~boundary)
     vals = _wide(vals, domain)
-    if dup.ufunc is np.add and vals.dtype.kind == "f":
-        # numpy's reduceat adds a float run as a0 + (a1 + ... + an), the
-        # rest summed pairwise; ufunc.at folds it left to right
-        rest = np.flatnonzero(~boundary)
-        folded = vals[starts]
-        # rest[k] follows rest[k] - k run starts, so it is in run
-        # rest[k] - k - 1
-        np.add.at(folded, rest - np.arange(1, len(rest) + 1), vals[rest])
-        vals = folded
-    elif len(starts):
-        vals = dup.ufunc.reduceat(vals, starts)
-    vals = _narrow(vals, domain)
+    folded = vals[starts]  # each run seeded with its first value
+    if dup.ufunc.types == ["OO->O"]:
+        # a Python op's steps stay Python values, so one beyond the dtype
+        # reaches _narrow, and a later step may bring it back in range
+        folded = folded.astype(object)
+    # rest[k] follows rest[k] - k run starts, so it is in run rest[k] - k - 1
+    dup.ufunc.at(folded, rest - np.arange(1, len(rest) + 1), vals[rest])
+    vals = _narrow(folded, domain)
     keep = vals != zero
     vals = vals[keep]
     domain.check_array(vals)

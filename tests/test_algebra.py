@@ -222,3 +222,36 @@ class TestLaws:
                            BinaryOp("times", operator.mul),
                            0, 1, check_laws=True)
         assert sr.add(2, 3) == 5
+
+
+class TestUserDomain:
+    """A domain without a built-in array rule has its own `contains`
+    applied to every value, on entry and after every fold."""
+
+    POSITIVE = algebra.Domain("positive", np.float64, lambda v: v > 0,
+                              lambda rng: rng.uniform(0.5, 10.0), float,
+                              repr, "real")
+    # min-plus over the positive reals; folds by minus can leave them
+    SR = make_semiring("positive-min-plus", POSITIVE, algebra.OP_MIN,
+                       algebra.OP_PLUS, math.inf, 0.0)
+
+    def test_entry_rejects_a_value_outside(self):
+        with pytest.raises(DomainError):
+            gm.build(self.SR, (2, 2), ([0, 1], [0, 1], [-3.0, 2.0]))
+        a = gm.build(self.SR, (2, 2), ([0, 1], [0, 1], [3.0, 2.0]))
+        assert list(gm.extract_tuples(a)) == [(0, 0, 3.0), (1, 1, 2.0)]
+
+    def test_folds_reject_a_value_outside(self):
+        minus = BinaryOp("minus", operator.sub, commutative=False)
+        with pytest.raises(DomainError):
+            gm.build(self.SR, (2, 2), ([0, 0], [1, 1], [1.0, 2.0]),
+                     dup=minus)
+        a = gm.build(self.SR, (2, 2), ([0, 1], [1, 0], [1.0, 2.0]))
+        b = gm.build(self.SR, (2, 2), ([0, 1], [1, 1], [4.0, 2.0]))
+        for op in (gm.ewise_add, gm.ewise_mult):
+            with pytest.raises(DomainError):  # 1.0 - 4.0 at (0, 1)
+                op(minus, math.inf, a, b)
+        assert gm.ewise_add(minus, math.inf, b, a).values.tolist() == \
+            [3.0, 2.0, 2.0]
+        assert gm.ewise_mult(minus, math.inf, b, a).values.tolist() == [3.0]
+        assert gm.mxm(self.SR, a, b).values.tolist() == [3.0, 6.0]

@@ -279,7 +279,7 @@ class TestBfs:
     def test_traversals_transpose_a_at_most_once(self, monkeypatch):
         # a pull hop on a digraph reads A^T, which A builds once and keeps;
         # every hop pulls here, as the default pulls on larger graphs only
-        monkeypatch.setattr(kernels, "_PULL_ALPHA", math.inf)
+        monkeypatch.setattr(kernels, "_PULL_CALLS", -math.inf)
         a = random_digraph(random.Random(5), 30, weights=True)
         calls = []
         real_transpose = gm.matrix._transpose
@@ -302,12 +302,13 @@ class TestBfs:
         d = oracle.densify(a, math.inf)
         assert gm.sssp_minplus(a, 0) == oracle.dense_sssp(d, 0, math.inf)
 
-    @pytest.mark.parametrize("alpha", [0, math.inf], ids=["push", "pull"])
-    def test_one_direction_against_oracles(self, alpha, monkeypatch):
-        # alpha 0 pushes every hop, alpha inf pulls every hop over A^T;
-        # a hop gathers A's own values: floats, Python ints in an object
-        # array and uint8 booleans
-        monkeypatch.setattr(kernels, "_PULL_ALPHA", alpha)
+    @pytest.mark.parametrize("calls", [math.inf, -math.inf],
+                             ids=["push", "pull"])
+    def test_one_direction_against_oracles(self, calls, monkeypatch):
+        # a pull's fixed cost of +inf pushes every hop, of -inf pulls
+        # every hop over A^T; a hop gathers A's own values: floats,
+        # Python ints in an object array and uint8 booleans
+        monkeypatch.setattr(kernels, "_PULL_CALLS", calls)
         for name in ("arith-real", "arith-natural", "or-and"):
             sr = gm.semiring_by_name(name)
             self.test_random_vs_queue_oracle(sr)
@@ -317,7 +318,7 @@ class TestBfs:
                     case, sr)
 
     def test_pull_reads_the_transpose(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_PULL_ALPHA", math.inf)
+        monkeypatch.setattr(kernels, "_PULL_CALLS", -math.inf)
         a = gm.build(ARITH, (3, 3), ([0, 1], [1, 2], [1.0, 1.0]))
         assert gm.bfs_levels(a, [0]).parents == [None, 0, 1]
         at = a._transposed(build=False)

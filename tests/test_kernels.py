@@ -14,7 +14,7 @@ from graphmat.errors import (
     GraphMatError,
     IndexBoundsError,
 )
-from graphmat.matrix import SparseMatrix, check_no_stored_zero
+from graphmat.matrix import SparseMatrix, _find, check_no_stored_zero
 
 import oracle
 from conftest import (
@@ -32,6 +32,19 @@ XOR = gm.semiring_by_name("xor-and")
 # non-commutative, so a fold in the wrong order gives a different value
 SUB = gm.BinaryOp("minus", operator.sub, commutative=False,
                   associative=False)
+
+
+def spy_records(monkeypatch):
+    """The lengths of the arrays that each np.rec.fromarrays call, as in
+    `_find`'s record branch, receives."""
+    calls, real = [], np.rec.fromarrays
+
+    def spy(arrays, *args, **kwargs):
+        calls.append(len(arrays[0]))
+        return real(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np.rec, "fromarrays", spy)
+    return calls
 
 
 def identity_matrix(sr, n):
@@ -807,6 +820,7 @@ class TestHugeDimensions:
     BIG = 2**62
 
     def test_lexsort_fallback(self, monkeypatch):
+        # sorts take lexsort, and ewise_mult's search (row, column) records
         calls = []
         real_lexsort = np.lexsort
 
@@ -815,6 +829,7 @@ class TestHugeDimensions:
             return real_lexsort(keys, *args, **kwargs)
 
         monkeypatch.setattr(np, "lexsort", spy)
+        records = spy_records(monkeypatch)
         big = self.BIG
         a = gm.build(ARITH, (2, big), ([1, 0, 1, 0], [big - 1, 5, 3, 5],
                                        [1.0, 2.0, 3.0, 4.0]))
@@ -822,9 +837,8 @@ class TestHugeDimensions:
         assert list(gm.extract_tuples(a)) == [
             (0, 5, 6.0), (1, 3, 3.0), (1, big - 1, 1.0)]
         b = gm.build(ARITH, (2, big), ([1, 0], [big - 1, 7], [10.0, 1.0]))
-        calls.clear()
         product = gm.ewise_mult(ARITH.mul, 0.0, a, b)
-        assert calls
+        assert records == [4, 2]  # a's entries and a sentinel, then b's
         assert list(gm.extract_tuples(product)) == [(1, big - 1, 10.0)]
         total = gm.ewise_add(ARITH.add, 0.0, a, b)
         assert list(gm.extract_tuples(total)) == [
@@ -1016,26 +1030,82 @@ class TestMaskedMxmBlocks:
 
 
 class TestHits:
-    """A structural mask's block lookup: one row binary-searched by its
-    sorted columns, several rows by (row, column) records, same answer."""
+    """`matrix._find`'s answer for a structural mask's block: one row
+    searched alone by its fused keys, and the same row among three rows,
+    by fused keys and, with the columns widened to 2**61, by (row,
+    column) records; all agree with np.isin."""
 
     @pytest.mark.parametrize("ncols,stored", [(2**60, 50), (1000, 0),
                                               (1000, 1000), (7, 3)])
-    def test_one_row_matches_records_and_isin(self, ncols, stored):
+    def test_one_row_matches_records_and_isin(self, ncols, stored,
+                                              monkeypatch):
         rng = np.random.default_rng(73)
         rows = [np.unique(rng.integers(0, ncols, 40)),
                 np.unique(rng.integers(0, ncols, stored)) if stored < ncols
                 else np.arange(ncols), np.unique(rng.integers(0, ncols, 9))]
-        mask = SparseMatrix(3, ncols, np.cumsum([0] + list(map(len, rows))),
-                            np.concatenate(rows), np.ones(
-                                sum(map(len, rows)), dtype=np.uint8),
-                            XOR.domain)
+        indptr = np.cumsum([0] + list(map(len, rows)))
+        cols, ones = np.concatenate(rows), np.ones(indptr[-1], np.uint8)
+        mask, wide = (SparseMatrix(3, n, indptr, cols, ones, XOR.domain)
+                      for n in (ncols, 2**61))
         j = np.concatenate((rng.integers(0, ncols, 200), rows[1][:20],
                             rows[0][:20]))
-        one = kernels._hits(mask, 1, 2, ncols, np.zeros_like(j), j)
-        records = kernels._hits(mask, 0, 3, ncols, np.ones_like(j), j)
-        assert one.tolist() == records.tolist() == \
+        records = spy_records(monkeypatch)
+        k1, one = _find(mask, 1, 2, np.zeros_like(j), j)
+        k3, fused = _find(mask, 0, 3, np.ones_like(j), j)
+        assert not records
+        kw, by_records = _find(wide, 0, 3, np.ones_like(j), j)
+        assert records == [len(cols) + 1, len(j)]  # + 1: the sentinel
+        assert one.tolist() == fused.tolist() == by_records.tolist() == \
             np.isin(j, rows[1]).tolist()
+        assert (k1 + indptr[1]).tolist() == k3.tolist() == kw.tolist()
+
+
+class TestFind:
+    """`matrix._find` against the dense oracle on either side of the
+    fused key's limit: rows r0..r1-1 times ncols below 2**62 search
+    int64 keys, from 2**62 (row, column) records."""
+
+    @pytest.mark.parametrize("nrows,ncols,r0,r1,branch", [
+        (3, (2**62 - 1) // 3, 0, 3, "fused"),   # 2**62 - 1
+        (4, 2**60, 0, 4, "records"),            # 2**62
+        (4, 2**60, 1, 4, "fused"),              # 3 * 2**60 of 4 rows
+        (2, 2**61, 0, 2, "records"),            # 2**62
+        (6, 2**60, 2, 6, "records"),            # 2**62 past row 0
+        (3, 2**62, 0, 3, "records"),            # fused keys would wrap
+        (5, 9, 0, 5, "fused"),
+    ])
+    def test_positions_and_hits_against_dense(self, nrows, ncols, r0, r1,
+                                              branch, monkeypatch):
+        rng = np.random.default_rng(nrows * 7 + r0)
+        # columns: both ends, their neighbours and up to 8 between
+        pool = np.unique(np.concatenate(([0, 1, ncols - 2, ncols - 1],
+                                         rng.integers(0, ncols, 8))))
+        dense = rng.random((nrows, len(pool))) < 0.5
+        rows, at = np.nonzero(dense)
+        m = SparseMatrix(nrows, ncols, np.searchsorted(
+            rows, np.arange(nrows + 1)), pool[at], np.ones(len(at), np.uint8),
+            XOR.domain)
+        i, p = (a.ravel() for a in np.meshgrid(np.arange(r1 - r0),
+                                                np.arange(len(pool)),
+                                                indexing="ij"))
+        records = spy_records(monkeypatch)
+        k, hit = _find(m, r0, r1, i, pool[p])
+        assert bool(records) == (branch == "records")
+        assert hit.tolist() == dense[r0 + i, p].tolist()
+        # k counts the block's entries before the position, row-major
+        lo = m.indptr[r0]
+        before = [int(np.sum(dense[r0:r0 + a]) + np.sum(dense[r0 + a, :b]))
+                  for a, b in zip(i, p)]
+        assert k.tolist() == before
+        assert (m.indices[lo + k[hit]] == pool[p[hit]]).all()
+
+    def test_empty_block_and_query(self):
+        m = SparseMatrix(3, 5, np.array([0, 2, 2, 3]), np.array([1, 4, 0]),
+                         np.ones(3, np.uint8), XOR.domain)
+        k, hit = _find(m, 1, 2, np.array([0, 0]), np.array([1, 4]))
+        assert k.tolist() == [0, 0] and hit.tolist() == [False, False]
+        k, hit = _find(m, 0, 3, np.empty(0, np.int64), np.empty(0, np.int64))
+        assert len(k) == len(hit) == 0
 
 
 class TestChunkedFold:

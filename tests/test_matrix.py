@@ -76,6 +76,18 @@ class TestBuild:
         assert a.get(0, 1) == 5.0  # (10 - 3) - 2
         assert a.get(1, 0) == 4.0
 
+    def test_python_dup_steps_beyond_an_unsigned_dtype(self):
+        # y - x over 5, 3, 10 steps through 3 - 5 = -2, outside uint64,
+        # and ends at 10 - (-2) = 12; a fold that ends outside raises
+        sets = gm.semiring_by_name("union-intersect", universe_size=64)
+        back = gm.BinaryOp("minus-from", lambda x, y: y - x,
+                           commutative=False, associative=False)
+        a = gm.build(sets, (1, 1), ([0, 0, 0], [0, 0, 0], [5, 3, 10]),
+                     dup=back)
+        assert a.values.tolist() == [12]
+        with pytest.raises(DomainError):
+            gm.build(sets, (1, 1), ([0, 0], [0, 0], [5, 3]), dup=back)
+
     def test_float_duplicates_fold_left_to_right(self):
         # (1e16 + 1) + 1 rounds to 1e16 twice; 1e16 + (1 + 1) does not
         a = gm.build(ARITH, (1, 1), ([0, 0, 0], [0, 0, 0], [1e16, 1.0, 1.0]))
