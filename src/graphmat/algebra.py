@@ -8,6 +8,7 @@ additive identity and the multiplicative annihilator.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -48,35 +49,35 @@ class Domain:
     def check_array(self, values: np.ndarray):
         """Audit a value array; raises DomainError on any violation.
 
-        Used on bulk entry and at the shared fold of every kernel,
-        where per-scalar checks would be too slow (e.g. natural overflow
-        after a reduction). A domain not named as a built-in one has
-        its `contains` applied to each value.
+        Used on bulk entry and at the shared fold of every kernel, where
+        per-scalar checks would be too slow (e.g. natural overflow after
+        a reduction). Only the built-in domain objects, one per set
+        universe, have array rules: any other applies its `contains`.
         """
         if len(values) == 0:
             return
         if self.dtype is np.float64 and np.isnan(values).any():
             raise DomainError(f"NaN is not in domain {self.name}")
-        if self.name == "natural":
+        if self is NATURAL:
             for v in values.flat:
                 if not (isinstance(v, int) and 0 <= v <= U64_MAX):
                     raise DomainError(f"{v!r} is not a 64-bit natural")
-        elif self.name == "real-nonneg":
+        elif self is REAL_NONNEG:
             if not np.all(values >= 0):
                 raise DomainError("negative value in non-negative domain")
-        elif self.name == "real-nonpos":
+        elif self is REAL_NONPOS:
             if not np.all(values <= 0):
                 raise DomainError("positive value in non-positive domain")
-        elif self.name == "bool":
+        elif self is BOOL:
             if not np.all((values == 0) | (values == 1)):
                 raise DomainError("boolean value outside {0, 1}")
-        elif self.universe_size is not None:
+        elif self.universe_size and self is set_domain(self.universe_size):
             mask = np.uint64(U64_MAX ^ ((1 << self.universe_size) - 1))
             if np.any(values & mask):
                 raise DomainError(
                     f"set value outside universe of {self.universe_size}"
                 )
-        elif self.name not in ("real", "integer"):  # no array rule
+        elif self is not REAL and self is not INTEGER:  # no array rule
             for v in values.tolist():
                 self.validate(v)
 
@@ -172,6 +173,7 @@ BOOL = Domain(
 )
 
 
+@functools.cache
 def set_domain(universe_size: int) -> Domain:
     """Power-set domain over a universe of at most 64 integers.
 

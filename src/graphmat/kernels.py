@@ -17,8 +17,8 @@ import numpy as np
 
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .matrix import (SparseMatrix, _argsort, _csr, _find, _fold, _narrow,
-                     _order, _ranges, _wide, coalesce)
+from .matrix import (SparseMatrix, _csr, _find, _fold, _narrow, _order,
+                     _ranges, _sort, _wide, coalesce)
 
 # the block cap: expanded products per multiply block. Blocks end on
 # row boundaries (a row above the cap is a block of its own), and a
@@ -83,7 +83,7 @@ def _accumulate(sr, nslots, chunks, keep=None):
     # ndarray methods: np.full's and np.flatnonzero's wrappers cost µs
     acc = np.empty(nslots, dtype=sr.domain.dtype)
     acc.fill(sr.zero)
-    acc = _wide(acc, sr.domain)
+    acc = _wide(acc, sr.domain, sr.add)
     for slots, prod in chunks:
         sr.add.ufunc.at(acc, slots, prod)
     nonzero = acc != sr.zero
@@ -176,8 +176,8 @@ def _sort_fold(sr, b, pos, rows, x, counts, r0, r1, mask, complement):
         hit = np.flatnonzero(hit != complement)
         pos, i, j, x = pos[hit], i[hit], j[hit], x[hit]
     prod = sr.mul.ufunc(_wide(x, sr.domain), b.values[pos])
-    order = _order(i, j, r1 - r0, b.ncols)
-    return _fold(i[order], j[order], prod[order], sr.add, sr.zero, sr.domain)
+    order, i, j = _order(i, j, r1 - r0, b.ncols)
+    return _fold(i, j, prod[order], sr.add, sr.zero, sr.domain)
 
 
 def _vxm(sr, ids, x, b, mask=None, complement=False):
@@ -414,17 +414,15 @@ def _extract(a, i, j):
     cols_exp = a.indices[pos]
     vals_exp = a.values[pos]
     # fan each source column out to every output column that selects it
-    j_order = _argsort(j, a.ncols)
-    j_sorted = j[j_order]
+    j_order, j_sorted = _sort(j, a.ncols)
     left = np.searchsorted(j_sorted, cols_exp, side="left")
     right = np.searchsorted(j_sorted, cols_exp, side="right")
     fan = right - left
     q_exp = j_order[_ranges(left, fan)]
     rows = np.repeat(p_exp, fan)
     vals = np.repeat(vals_exp, fan)
-    order = _order(rows, q_exp, len(i), len(j))
-    return _csr(len(i), len(j), rows[order], q_exp[order], vals[order],
-                a.domain)
+    order, rows, cols = _order(rows, q_exp, len(i), len(j))
+    return _csr(len(i), len(j), rows, cols, vals[order], a.domain)
 
 
 def selection_matrix(sr: Semiring, idx, n_source) -> SparseMatrix:
@@ -472,6 +470,5 @@ def _assign(c, i, j, a):
     rows = np.concatenate([c_rows[keep], i[a.row_arrays()]])
     cols = np.concatenate([c.indices[keep], j[a.indices]])
     vals = np.concatenate([c.values[keep], a.values])
-    order = _order(rows, cols, c.nrows, c.ncols)
-    return _csr(c.nrows, c.ncols, rows[order], cols[order], vals[order],
-                c.domain)
+    order, rows, cols = _order(rows, cols, c.nrows, c.ncols)
+    return _csr(c.nrows, c.ncols, rows, cols, vals[order], c.domain)

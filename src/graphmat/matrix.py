@@ -138,32 +138,35 @@ def _check_dims(nrows, ncols):
                              actual=f"{nrows}x{ncols}")
 
 
-# keys in fewer ascending runs than this take numpy's timsort, which
-# merges runs in linear time, the rest the radix sort: on 2**17-2**20
-# keys below 2**28 timsort won up to 16 runs and lost from 256 (2-vCPU
-# host). A run's end shows as 8 descents 8 places apart; closer disorder
-# (one product row's columns) costs timsort's insertion sort little
-_RADIX_MIN_RUNS = 64
+# keys in fewer ascending runs than this take timsort, which merges runs,
+# the rest the packed sort: on 9k-851k keys (2-vCPU AVX-512 host)
+# timsort won 1.05-1.8x on 2 random runs and 1.7-2.4x on a grid's 4
+# edge runs, tied on 3-5 random runs and lost 1.4-2.1x from 6. A run
+# ends in 8 descents 8 apart; closer disorder costs timsort little
+_TIMSORT_MAX_RUNS = 5
 
 
-def _argsort(keys, span):
-    """np.argsort(keys, kind="stable") for int64 keys in [0, span): an LSD
-    radix sort, one stable uint16 argsort (which numpy radix-sorts) per
-    16 bits of span - 1, unless the keys fall into few ascending runs."""
-    if 1 + np.count_nonzero(keys[8:] < keys[:-8]) // 8 < _RADIX_MIN_RUNS:
-        return np.argsort(keys, kind="stable")
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    for shift in range(16, int(span - 1).bit_length(), 16):
-        digit = (keys >> shift).astype(np.uint16)[order]
-        order = order[np.argsort(digit, kind="stable")]
-    return order
+def _sort(keys, span):
+    """(order, keys[order]) for keys in [0, span), order stable: one np.sort
+    of key << position bits | position, or timsort (few runs, > 63 bits)."""
+    shift = (len(keys) - 1).bit_length()
+    if (1 + np.count_nonzero(keys[8:] < keys[:-8]) // 8 < _TIMSORT_MAX_RUNS
+            or int(span - 1).bit_length() + shift > 63):
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = np.sort(keys.astype(np.int64, copy=False) << shift
+                     | np.arange(len(keys)))
+    return packed & ((1 << shift) - 1), packed >> shift
 
 
 def _order(rows, cols, nrows, ncols):
-    """Stable row-major order of (rows, cols): equal keys keep input order."""
+    """Stable row-major order of (rows, cols), and both sorted by it."""
     if nrows * ncols < 2**62:
-        return _argsort(rows * ncols + cols, nrows * ncols)
-    return np.lexsort((cols, rows))
+        order, keys = _sort(rows * ncols + cols, nrows * ncols)
+        rows = keys // ncols
+        return order, rows, keys - rows * ncols
+    order = np.lexsort((cols, rows))
+    return order, rows[order], cols[order]
 
 
 def _find(m, r0, r1, i, j):
@@ -184,11 +187,13 @@ def _find(m, r0, r1, i, j):
     return k, have[k] == want
 
 
-def _wide(vals, domain: Domain):
-    """`vals` ready for arithmetic in `domain`: int64 values become Python
-    ints, so products and sums cannot wrap; `_narrow` turns them back and
-    raises DomainError for any that no longer fit."""
-    if np.dtype(domain.dtype) == np.int64:
+def _wide(vals, domain: Domain, op: BinaryOp | None = None):
+    """`vals` ready for arithmetic in `domain` and folds by `op`: int64
+    values, and any for a Python op (its one loop OO->O; `ntypes` is read
+    first, as `types` builds a list), become Python values, so no step
+    wraps or is cast back to the dtype; `_narrow` turns them back."""
+    if np.dtype(domain.dtype) == np.int64 or (op is not None and (
+            op.ufunc.ntypes == 1 and op.ufunc.types == ["OO->O"])):
         return vals.astype(object)
     return vals
 
@@ -217,12 +222,8 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
         raise GraphMatError(
             f"duplicate entry at ({rows[k]}, {cols[k]}) in strict mode")
     starts, rest = np.flatnonzero(boundary), np.flatnonzero(~boundary)
-    vals = _wide(vals, domain)
+    vals = _wide(vals, domain, dup)
     folded = vals[starts]  # each run seeded with its first value
-    if dup.ufunc.types == ["OO->O"]:
-        # a Python op's steps stay Python values, so one beyond the dtype
-        # reaches _narrow, and a later step may bring it back in range
-        folded = folded.astype(object)
     # rest[k] follows rest[k] - k run starts, so it is in run rest[k] - k - 1
     dup.ufunc.at(folded, rest - np.arange(1, len(rest) + 1), vals[rest])
     vals = _narrow(folded, domain)
@@ -264,9 +265,8 @@ def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    vals = _convert(vals, domain)
-    order = _order(rows, cols, nrows, ncols)
-    rows, cols, vals = _fold(rows[order], cols[order], vals[order],
+    order, rows, cols = _order(rows, cols, nrows, ncols)
+    rows, cols, vals = _fold(rows, cols, _convert(vals, domain)[order],
                              dup, zero, domain, strict_dup)
     return _csr(nrows, ncols, rows, cols, vals, domain)
 
@@ -342,7 +342,7 @@ def _transpose(a: SparseMatrix) -> SparseMatrix:
     """Gustavson's permuted transposition (1978): CSR rows ascend, so a
     stable order of the column indices alone lists each column's
     entries by ascending row."""
-    order = _argsort(a.indices, a.ncols)
+    order = _sort(a.indices, a.ncols)[0]
     return SparseMatrix(a.ncols, a.nrows, _indptr(a.ncols, a.indices),
                         a.row_arrays()[order], a.values[order], a.domain)
 

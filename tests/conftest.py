@@ -2,6 +2,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphmat as gm
@@ -92,6 +93,23 @@ def load_fixture_adjacency(sr=None):
                                   value_parser=sr.domain.parse_text)
     triples = fileio.triples_from_edges(edges, sr.one)
     return gm.build(sr, (7, 7), triples)
+
+
+def spy_sorts(monkeypatch):
+    """The sorts that np.sort and np.argsort are asked for, as (name,
+    dtype, kind): `matrix._sort` packs keys into one int64 np.sort, or
+    leaves them to numpy's stable argsort (timsort)."""
+    calls = []
+    for name in ("sort", "argsort"):
+        def spy(a, *args, _name=name, _real=getattr(np, name), **kw):
+            calls.append((_name, a.dtype, kw.get("kind")))
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(np, name, spy)
+    return calls
+
+
+PACKED = [("sort", np.dtype(np.int64), None)]
+TIMSORT = [("argsort", np.dtype(np.int64), "stable")]
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import random
@@ -255,3 +256,36 @@ class TestUserDomain:
             [3.0, 2.0, 2.0]
         assert gm.ewise_mult(minus, math.inf, b, a).values.tolist() == [3.0]
         assert gm.mxm(self.SR, a, b).values.tolist() == [3.0, 6.0]
+
+    # a user domain named like a built-in one: its `contains`, not the
+    # built-in's array rule, decides. "real" takes only values above 0;
+    # "bool", on uint8, takes 0, 2 and 3 but not 1
+    NAMED = [(dataclasses.replace(algebra.REAL, contains=lambda v: v > 0),
+              algebra.OP_MIN, algebra.OP_PLUS, math.inf, -3.0, 2.0),
+             (dataclasses.replace(algebra.BOOL,
+                                  contains=lambda v: v in (0, 2, 3)),
+              algebra.OP_OR, algebra.OP_AND, 0, 1, 2)]
+
+    @pytest.mark.parametrize("domain, add, mul, zero, bad, good", NAMED,
+                             ids=["real", "bool"])
+    def test_named_like_a_built_in_keeps_its_contains(self, domain, add,
+                                                      mul, zero, bad, good):
+        sr = make_semiring("user", domain, add, mul, zero, good)
+        with pytest.raises(DomainError):
+            gm.build(sr, (2, 2), ([0, 1], [0, 1], [bad, good]))
+        a = gm.build(sr, (2, 2), ([0, 1], [0, 1], [good, good]))
+        assert a.values.tolist() == [good, good]
+        assert gm.ewise_add(add, zero, a, a).values.tolist() == [good, good]
+
+    def test_built_in_domains_keep_their_array_rules(self):
+        # the rule is picked by the domain object; a set domain is one
+        # object per universe
+        assert algebra.set_domain(8) is algebra.set_domain(8)
+        for name in ("max-min", "xor-and", "arith-natural"):
+            sr = semiring_by_name(name)
+            bad = {"max-min": -1.0, "xor-and": 2, "arith-natural": -1}[name]
+            with pytest.raises(DomainError):
+                sr.domain.check_array(np.array([bad], dtype=sr.domain.dtype))
+        sets = semiring_by_name("union-intersect", universe_size=4)
+        with pytest.raises(DomainError):
+            sets.domain.check_array(np.array([16], dtype=np.uint64))

@@ -11,9 +11,9 @@ import graphmat as gm
 from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 from graphmat.matrix import (
-    _RADIX_MIN_RUNS,
-    _argsort,
+    _TIMSORT_MAX_RUNS,
     _order,
+    _sort,
     check_no_stored_zero,
     coalesce,
 )
@@ -21,10 +21,13 @@ from graphmat.matrix import (
 import oracle
 from conftest import (
     NAMED_SEMIRINGS,
+    PACKED,
+    TIMSORT,
     assert_matches_dense,
     get_semiring,
     load_fixture_adjacency,
     random_matrix,
+    spy_sorts,
 )
 
 ARITH = gm.semiring_by_name("arith-real")
@@ -223,7 +226,7 @@ class TestTranspose:
     @pytest.mark.parametrize("ncols", [2**16 + 1, 10**6])
     def test_wide_against_dense_oracle(self, rng, ncols):
         # a's 90 columns spread over ncols in order; CSR keys run one per
-        # row, so 1-20 rows take timsort and 80-120 rows the radix sort
+        # row, so up to 4 rows take timsort and 80-120 rows the packed sort
         n = 90
         wide = np.array(sorted(rng.sample(range(ncols), n)))
         for m in [rng.randint(1, 20) for _ in range(5)] + [
@@ -281,16 +284,34 @@ class TestNaNRejected:
             gm.vxm(sr, row, col)
 
 
+def assert_row_major(got, rows, cols):
+    """`_order`'s (order, rows, cols) against lexsort's order."""
+    want = np.lexsort((cols, rows))
+    order, sorted_rows, sorted_cols = got
+    assert np.array_equal(order, want)
+    assert np.array_equal(sorted_rows, rows[want])
+    assert np.array_equal(sorted_cols, cols[want])
+
+
 class TestOrder:
-    @pytest.mark.parametrize("dims", [(16, 4096), (17, 4096)])
-    def test_stable_row_major_on_either_side_of_16_bit_keys(self, dims):
-        # 16 x 4096 keys fit 16 bits and take one radix pass; one more
-        # row takes a second; both must keep input order
+    # 5,000 keys take 13 position bits: rows x columns below 2**50 leave
+    # key and position bits at 63, the packed sort's budget; one more
+    # column makes them 64 (timsort); from 2**62 lexsort orders (row,
+    # column) pairs
+    @pytest.mark.parametrize("dims, sorts", [
+        ((2**25, 2**25), PACKED), ((2**25, 2**25 + 1), TIMSORT),
+        ((2**31, 2**31), [])], ids=["packed", "timsort", "lexsort"])
+    def test_stable_row_major_on_either_side_of_the_packed_budget(
+            self, dims, sorts, monkeypatch):
         rng = np.random.default_rng(3)
-        rows = rng.integers(0, dims[0], 5000)
-        cols = rng.integers(0, dims[1], 5000)
-        assert np.array_equal(_order(rows, cols, *dims),
-                              np.lexsort((cols, rows)))
+        # few distinct rows and columns, so most keys have ties
+        rows = rng.choice([0, 1, dims[0] - 1], 5000)
+        cols = rng.choice([0, dims[1] // 2, dims[1] - 1], 5000)
+        calls = spy_sorts(monkeypatch)
+        got = _order(rows, cols, *dims)
+        monkeypatch.undo()
+        assert calls == sorts
+        assert_row_major(got, rows, cols)
 
 
 def _keys_in(rng, span, runs, n):
@@ -316,8 +337,9 @@ def _keys_in(rng, span, runs, n):
 
 
 class TestArgsort:
-    """`_order` against lexsort, at each 16-bit pass boundary, on keys in
-    few runs (timsort) and in many (the radix sort)."""
+    """`_order` against lexsort, on keys in few runs and in many, at key
+    spans around 16-bit boundaries and up to the largest below lexsort's
+    2**62; `_sort` against numpy's stable argsort."""
 
     # row x column splits of 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**48,
     # 2**48 + 1 and 2**62 - 1
@@ -325,38 +347,45 @@ class TestArgsort:
             (2**16, 2**32), (193, (2**48 + 1) // 193),
             (3, (2**62 - 1) // 3)]
 
-    @pytest.mark.parametrize("runs", [1, 2, _RADIX_MIN_RUNS - 1,
-                                      _RADIX_MIN_RUNS, "random", "local"])
+    @pytest.mark.parametrize("runs", sorted(
+        {1, 2, _TIMSORT_MAX_RUNS - 1, _TIMSORT_MAX_RUNS, 63, 64})
+        + ["random", "local"])
     @pytest.mark.parametrize("dims", DIMS)
     def test_order_equals_lexsort(self, dims, runs, monkeypatch):
         # "local" keys descend about every 3 places, but only within 4
-        # places: timsort sorts them
+        # places: timsort sorts them. Keys in many runs take the packed
+        # sort when their bits and the 12 position bits of 3,000 keys fit
+        # in 63, which the 62 bits of 2**62 - 1 do not
         nrows, ncols = dims
         span = nrows * ncols
         keys = _keys_in(np.random.default_rng(span % 1009), span, runs, 3000)
         rows, cols = keys // ncols, keys % ncols
-        sorted_dtypes, argsort = [], np.argsort
-        monkeypatch.setattr(np, "argsort", lambda a, **kw: (
-            sorted_dtypes.append(a.dtype) or argsort(a, **kw)))
+        calls = spy_sorts(monkeypatch)
         got = _order(rows, cols, nrows, ncols)
         monkeypatch.undo()
-        assert np.array_equal(got, np.lexsort((cols, rows)))
-        if runs == "random" or (runs != "local"
-                                and runs >= _RADIX_MIN_RUNS):
-            passes = -(-int(span - 1).bit_length() // 16)  # one per 16 bits
-            assert sorted_dtypes == [np.dtype(np.uint16)] * passes
-        else:
-            assert sorted_dtypes == [np.dtype(np.int64)]
+        assert_row_major(got, rows, cols)
+        many = runs == "random" or (runs != "local"
+                                    and runs >= _TIMSORT_MAX_RUNS)
+        fits = int(span - 1).bit_length() + 12 <= 63
+        assert calls == (PACKED if many and fits else TIMSORT)
 
     @settings(max_examples=150, deadline=None)
     @given(span=st.integers(2, 2**62 - 1), seed=st.integers(0, 2**32 - 1),
            runs=st.one_of(st.sampled_from(["random", "local"]),
-                          st.integers(1, 2 * _RADIX_MIN_RUNS)),
-           n=st.integers(0, 3000))
-    def test_argsort_equals_stable_argsort(self, span, seed, runs, n):
+                          st.integers(1, 128)),
+           n=st.integers(0, 3000),
+           dtype=st.sampled_from(["int64", "uint16", "uint32", "float64"]))
+    def test_argsort_equals_stable_argsort(self, span, seed, runs, n, dtype):
+        # keys in any dtype that holds the span: below 2**16 `_keys_in`
+        # itself returns float64 keys
         keys = _keys_in(np.random.default_rng(seed), span, runs, n)
-        assert np.array_equal(_argsort(keys, span),
-                              np.argsort(keys, kind="stable"))
+        if span <= {"int64": 2**62, "uint16": 2**16, "uint32": 2**32,
+                    "float64": 2**53}[dtype]:
+            keys = keys.astype(dtype)
+        order, sorted_keys = _sort(keys, span)
+        want = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, want)
+        assert np.array_equal(sorted_keys, keys[want])
 
 
 class TestConvertMixedPythonInts:
