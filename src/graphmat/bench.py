@@ -123,12 +123,14 @@ def run_bench(operation, scales, edge_factor=DEFAULT_EDGE_FACTOR,
             f"choose from {', '.join(BENCH_OPERATIONS)}")
     if trials < 1:
         raise GraphMatError("trials must be at least 1")
+    if edge_factor < 0:
+        raise GraphMatError(f"edge factor {edge_factor} is below 0")
     sr = semiring_by_name(semiring_name)
     reports = []
     for scale in scales:
-        if scale > MAX_SCALE:
+        if not 0 <= scale <= MAX_SCALE:
             raise GraphMatError(
-                f"scale {scale} above the {MAX_SCALE} guard")
+                f"scale {scale} outside the guard [0, {MAX_SCALE}]")
         a = rmat_graph(sr, scale, edge_factor, seed)
         api_fn, direct_fn = _bench_inputs(operation, sr, a)
         api_fn()  # warmup both paths

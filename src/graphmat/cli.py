@@ -105,6 +105,8 @@ def cmd_bfs(args):
     a = _load_matrix(args.input, args, sr)
     shift = 1 if args.one_based else 0
     sources = _index_list(args.source, args.one_based)
+    if not sources:
+        raise GraphMatError("--source names no vertex")
     result = graph.bfs_levels(a, sources, max_hops=args.max_hops)
     sys.stdout.write("".join(["vertex\tlevel\tparent\n"] + [
         f"{v + shift}\t{'-' if lvl is None else lvl}\t"

@@ -135,6 +135,8 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
     frontier = np.unique(_check_index_vector(list(sources), n, "source"))
     if max_hops is None:
         max_hops = n
+    elif max_hops < 0:
+        raise GraphMatError(f"max_hops {max_hops} is below 0")
     level = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     level[frontier] = 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
-from .matrix import (SparseMatrix, _csr, _find, _fold, _narrow, _order,
+from .matrix import (SparseMatrix, _csr, _find, _fold, _key, _narrow,
                      _ranges, _sort, _wide, coalesce)
 
 # the block cap: expanded products per multiply block. Blocks end on
@@ -113,10 +113,9 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
          complement=False) -> SparseMatrix:
     """Gustavson's row-wise product (1978), one block of rows at a time;
     `mask` and `complement` select result positions as in vxm."""
-    if a.nrows == 1:
-        cols, vals = _vxm(sr, a.indices, a.values, b, mask, complement)
-        return SparseMatrix(1, b.ncols, np.array([0, len(cols)]), cols, vals,
-                            sr.domain)
+    if a.nrows == 1:  # the one row's keys are its columns
+        return _csr(1, b.ncols, *_vxm(sr, a.indices, a.values, b, mask,
+                                      complement), sr.domain)
     starts = b.indptr[a.indices]
     counts = b.indptr[1:][a.indices] - starts  # products per entry of a
     total = int(counts.sum())
@@ -130,21 +129,19 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
                 row_cum, row_cum[r0] + _MXM_CHUNK_PRODUCTS, side="right")) - 1)
             blocks.append((r0, r1, int(row_cum[r1] - row_cum[r0])))
             r0 = r1
-    indptr, parts = np.zeros(a.nrows + 1, dtype=np.int64), []
-    for r0, r1, products in blocks:
-        ends, cols, vals = _mxm_block(sr, a, b, r0, r1, products, starts,
-                                      counts, mask, complement)
-        indptr[r0 + 1:r1 + 1] = ends + indptr[r0]
-        parts.append((cols, vals))
-    if len(parts) > 1:  # one block's columns and values are the result's
-        cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return SparseMatrix(a.nrows, b.ncols, indptr, cols, vals, sr.domain)
+    parts = [_mxm_block(sr, a, b, r0, r1, products, starts, counts, mask,
+                        complement) for r0, r1, products in blocks]
+    if len(parts) == 1:  # the one block's matrix is the result
+        return parts[0]
+    indptr = np.concatenate([[0]] + [np.diff(p.indptr) for p in parts])
+    return SparseMatrix(a.nrows, b.ncols, indptr.cumsum(), np.concatenate(
+        [p.indices for p in parts]), np.concatenate([p.values for p in parts]),
+        sr.domain)
 
 
 def _mxm_block(sr, a, b, r0, r1, products, starts, counts, mask,
                complement):
-    """Rows r0..r1-1 of a b as (entries up to each row's end, columns,
-    values), by accumulator a chunk at a time, or sorted if too wide."""
+    """Rows r0..r1-1 of a b as a matrix, accumulated, or sorted if too wide."""
     nb, ncols, lo, hi = r1 - r0, b.ncols, a.indptr[r0], a.indptr[r1]
     starts, counts, x = starts[lo:hi], counts[lo:hi], a.values[lo:hi]
     rows = np.repeat(np.arange(nb), np.diff(a.indptr[r0:r1 + 1]))
@@ -156,28 +153,27 @@ def _mxm_block(sr, a, b, r0, r1, products, starts, counts, mask,
                 yield slots, sr.mul.ufunc(_wide(x[clo:chi].repeat(
                     counts[clo:chi]), sr.domain), b.values[pos])
 
-        j, vals = _accumulate(sr, nb * ncols, chunks(),
-                              _keep(mask, complement, r0, r1, ncols))
-        i = j // ncols
-        j -= i * ncols
+        keys, vals = _accumulate(sr, nb * ncols, chunks(),
+                                 _keep(mask, complement, r0, r1, ncols))
     else:
-        i, j, vals = _sort_fold(sr, b, _ranges(starts, counts), rows, x,
+        keys, vals = _sort_fold(sr, b, _ranges(starts, counts), rows, x,
                                 counts, r0, r1, mask, complement)
-    return np.searchsorted(i, np.arange(1, nb + 1)), j, vals
+    return _csr(nb, ncols, keys, vals, sr.domain)
 
 
 def _sort_fold(sr, b, pos, rows, x, counts, r0, r1, mask, complement):
     """x[k], in block row rows[k], times its counts[k] entries of b at
-    `pos`, masked, sorted and folded: (rows, columns, values)."""
-    i, j, x = rows.repeat(counts), b.indices[pos], x.repeat(counts)
+    `pos`, masked, sorted and folded: (`_key`s in the block, values)."""
+    keys = _key(rows.repeat(counts), b.indices[pos], r1 - r0, b.ncols)
+    x = x.repeat(counts)
     if mask is not None:
-        hit = (_find(mask, r0, r1, i, j)[1] if isinstance(mask, SparseMatrix)
-               else mask[(i + r0) * b.ncols + j])
+        hit = (_find(mask, r0, r1, keys)[1] if isinstance(mask, SparseMatrix)
+               else mask[r0 * b.ncols + keys])
         hit = np.flatnonzero(hit != complement)
-        pos, i, j, x = pos[hit], i[hit], j[hit], x[hit]
+        pos, keys, x = pos[hit], keys[hit], x[hit]
     prod = sr.mul.ufunc(_wide(x, sr.domain), b.values[pos])
-    order, i, j = _order(i, j, r1 - r0, b.ncols)
-    return _fold(i, j, prod[order], sr.add, sr.zero, sr.domain)
+    order, keys = _sort(keys, (r1 - r0) * b.ncols)
+    return _fold(keys, prod[order], b.ncols, sr.add, sr.zero, sr.domain)
 
 
 def _vxm(sr, ids, x, b, mask=None, complement=False):
@@ -189,7 +185,7 @@ def _vxm(sr, ids, x, b, mask=None, complement=False):
     total, ncols = int(counts.sum()), b.ncols
     if not _dense(ncols, total):  # and so too few products to pull
         return _sort_fold(sr, b, _ranges(starts, counts), np.zeros(
-            len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)[1:]
+            len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)
     keep = _keep(mask, complement, 0, 1, ncols)
     if keep is not None and total > ncols + _PULL_CALLS:
         # the kept columns' in-edges, from b^T once built; until then a
@@ -313,8 +309,7 @@ def _mxv(sr, a, v, mask=None, complement=False):
                    lambda x, y: sr.mul.ufunc(y, x), commutative=False)
     rows, vals = _pull(replace(sr, mul=mul), np.flatnonzero(np.diff(
         v.indptr)), v.values, a, _keep(mask, complement, 0, a.nrows, 1))
-    return _csr(a.nrows, 1, rows, np.zeros(len(rows), dtype=np.int64), vals,
-                sr.domain)
+    return _csr(a.nrows, 1, rows, vals, sr.domain)  # one column: keys = rows
 
 
 def vxm(sr: Semiring, f: SparseMatrix, a: SparseMatrix, mask=None,
@@ -380,15 +375,14 @@ def ewise_mult(op: BinaryOp, zero, a: SparseMatrix,
 def _ewise_mult(op, zero, a, b):
     """b's entries that a stores too, op applied as op(a's, b's) to each
     pair only; the zeros dropped and op's results checked."""
-    rows = b.row_arrays()
-    k, hit = _find(a, 0, a.nrows, rows, b.indices)
+    keys = _key(b.row_arrays(), b.indices, b.nrows, b.ncols)
+    k, hit = _find(a, 0, a.nrows, keys)
     vals = _narrow(op.ufunc(_wide(a.values[k[hit]], a.domain),
                             b.values[hit]), a.domain)
     keep = vals != zero
     vals = vals[keep]
     a.domain.check_array(vals)
-    return _csr(a.nrows, a.ncols, rows[hit][keep], b.indices[hit][keep],
-                vals, a.domain)
+    return _csr(a.nrows, a.ncols, keys[hit][keep], vals, a.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +404,16 @@ def _extract(a, i, j):
     # gather selected source rows
     counts = np.diff(a.indptr)[i]
     pos = _ranges(a.indptr[i], counts)
-    p_exp = np.repeat(np.arange(len(i), dtype=np.int64), counts)
-    cols_exp = a.indices[pos]
-    vals_exp = a.values[pos]
+    cols = a.indices[pos]
     # fan each source column out to every output column that selects it
     j_order, j_sorted = _sort(j, a.ncols)
-    left = np.searchsorted(j_sorted, cols_exp, side="left")
-    right = np.searchsorted(j_sorted, cols_exp, side="right")
-    fan = right - left
-    q_exp = j_order[_ranges(left, fan)]
-    rows = np.repeat(p_exp, fan)
-    vals = np.repeat(vals_exp, fan)
-    order, rows, cols = _order(rows, q_exp, len(i), len(j))
-    return _csr(len(i), len(j), rows, cols, vals[order], a.domain)
+    left = j_sorted.searchsorted(cols, side="left")
+    fan = j_sorted.searchsorted(cols, side="right") - left
+    keys = _key(np.arange(len(i)).repeat(counts).repeat(fan),
+                j_order[_ranges(left, fan)], len(i), len(j))
+    order, keys = _sort(keys, len(i) * len(j))
+    return _csr(len(i), len(j), keys, a.values[pos].repeat(fan)[order],
+                a.domain)
 
 
 def selection_matrix(sr: Semiring, idx, n_source) -> SparseMatrix:
@@ -470,5 +461,6 @@ def _assign(c, i, j, a):
     rows = np.concatenate([c_rows[keep], i[a.row_arrays()]])
     cols = np.concatenate([c.indices[keep], j[a.indices]])
     vals = np.concatenate([c.values[keep], a.values])
-    order, rows, cols = _order(rows, cols, c.nrows, c.ncols)
-    return _csr(c.nrows, c.ncols, rows, cols, vals[order], c.domain)
+    order, keys = _sort(_key(rows, cols, c.nrows, c.ncols),
+                        c.nrows * c.ncols)
+    return _csr(c.nrows, c.ncols, keys, vals[order], c.domain)

@@ -126,9 +126,8 @@ def _ranges(starts, counts):
 
 def empty_matrix(sr: Semiring, nrows, ncols) -> SparseMatrix:
     _check_dims(nrows, ncols)
-    empty = np.empty(0, dtype=np.int64)
-    return _csr(nrows, ncols, empty, empty,
-                np.empty(0, dtype=sr.domain.dtype), sr.domain)
+    return SparseMatrix(nrows, ncols, _indptr(nrows, ()), np.empty(
+        0, dtype=np.int64), np.empty(0, dtype=sr.domain.dtype), sr.domain)
 
 
 def _check_dims(nrows, ncols):
@@ -146,45 +145,36 @@ def _check_dims(nrows, ncols):
 _TIMSORT_MAX_RUNS = 5
 
 
+def _key(rows, cols, nrows, ncols):
+    """Row-major keys rows * ncols + cols of an nrows x ncols matrix: int64
+    while they stay below 2**62, else Python ints in an object array."""
+    if nrows * ncols < 2**62:
+        return rows * ncols + cols
+    return rows.astype(object) * ncols + cols
+
+
 def _sort(keys, span):
-    """(order, keys[order]) for keys in [0, span), order stable: one np.sort
+    """(order, keys[order]) for keys in [0, span), order stable: one sort
     of key << position bits | position, or timsort (few runs, > 63 bits)."""
     shift = (len(keys) - 1).bit_length()
     if (1 + np.count_nonzero(keys[8:] < keys[:-8]) // 8 < _TIMSORT_MAX_RUNS
             or int(span - 1).bit_length() + shift > 63):
         order = np.argsort(keys, kind="stable")
         return order, keys[order]
-    packed = np.sort(keys.astype(np.int64, copy=False) << shift
-                     | np.arange(len(keys)))
+    packed = keys.astype(np.int64, copy=False) << shift | np.arange(len(keys))
+    packed.sort()
     return packed & ((1 << shift) - 1), packed >> shift
 
 
-def _order(rows, cols, nrows, ncols):
-    """Stable row-major order of (rows, cols), and both sorted by it."""
-    if nrows * ncols < 2**62:
-        order, keys = _sort(rows * ncols + cols, nrows * ncols)
-        rows = keys // ncols
-        return order, rows, keys - rows * ncols
-    order = np.lexsort((cols, rows))
-    return order, rows[order], cols[order]
-
-
-def _find(m, r0, r1, i, j):
-    """(k, hit): where each position (r0 + i[k], j[k]) falls among the
-    stored entries of m's rows r0..r1-1, and whether m stores it there.
-    One binary search of row-major keys, fused while they fit in int64
-    as in `_order`, else (row, column) records."""
+def _find(m, r0, r1, keys):
+    """(k, hit): where each `_key` of a position in m's rows r0..r1-1 (row r0
+    as 0) falls among m's entries there, and whether m stores it there."""
     lo, hi = m.indptr[r0], m.indptr[r1]
     rows = np.repeat(np.arange(r1 - r0), np.diff(m.indptr[r0:r1 + 1]))
-    # an entry at (-1, -1) past the last, which no position matches
-    rows, cols = np.append(rows, -1), np.append(m.indices[lo:hi], -1)
-    if (r1 - r0) * m.ncols < 2**62:
-        have, want = rows * m.ncols + cols, i * m.ncols + j
-    else:
-        have, want = (np.rec.fromarrays(p, names="i,j")
-                      for p in ((rows, cols), (i, j)))
-    k = have[:-1].searchsorted(want)
-    return k, have[k] == want
+    # a key -1 past the last, which no position matches
+    have = np.append(_key(rows, m.indices[lo:hi], r1 - r0, m.ncols), -1)
+    k = have[:-1].searchsorted(keys)
+    return k, have[k] == keys
 
 
 def _wide(vals, domain: Domain, op: BinaryOp | None = None):
@@ -210,17 +200,17 @@ def _narrow(vals, domain: Domain):
     return vals
 
 
-def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
+def _fold(keys, vals, ncols, dup: BinaryOp, zero, domain: Domain,
           strict_dup=False):
-    """Fold each run of equal (row, col) in ordered triples left to right,
-    in input order, with `dup`; drop `zero` and check what is left."""
-    boundary = np.empty(len(rows), dtype=bool)
+    """Fold each run of equal sorted keys left to right, in input order,
+    with `dup`; drop `zero`, check the rest: the (keys, values) kept."""
+    boundary = np.empty(len(keys), dtype=bool)
     boundary[:1] = True
-    boundary[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    boundary[1:] = keys[1:] != keys[:-1]
     if strict_dup and not boundary.all():
         k = int(np.flatnonzero(~boundary)[0])
-        raise GraphMatError(
-            f"duplicate entry at ({rows[k]}, {cols[k]}) in strict mode")
+        raise GraphMatError(f"duplicate entry at {divmod(int(keys[k]), ncols)}"
+                            " in strict mode")
     starts, rest = np.flatnonzero(boundary), np.flatnonzero(~boundary)
     vals = _wide(vals, domain, dup)
     folded = vals[starts]  # each run seeded with its first value
@@ -230,13 +220,15 @@ def _fold(rows, cols, vals, dup: BinaryOp, zero, domain: Domain,
     keep = vals != zero
     vals = vals[keep]
     domain.check_array(vals)
-    return rows[starts][keep], cols[starts][keep], vals
+    return keys[starts][keep], vals
 
 
 def _indptr(nrows, rows):
-    """Row pointers of a matrix with one entry per element of `rows`;
+    """Row pointers of a matrix with one entry per element of sorted `rows`;
     DimensionError when numpy cannot address them (ValueError) or memory
     cannot hold them."""
+    if len(rows) > 32 * nrows:  # 2 against 74 us for 20 rows of 1,000
+        return rows.searchsorted(np.arange(nrows + 1))
     try:
         indptr = np.zeros(nrows + 1, dtype=np.int64)
         if len(rows):
@@ -248,10 +240,13 @@ def _indptr(nrows, rows):
     return indptr
 
 
-def _csr(nrows, ncols, rows, cols, vals, domain: Domain) -> SparseMatrix:
-    """CSR from row-major ordered triples with no repeated (row, col)."""
-    return SparseMatrix(nrows, ncols, _indptr(nrows, rows), cols, vals,
-                        domain)
+def _csr(nrows, ncols, keys, vals, domain: Domain) -> SparseMatrix:
+    """CSR from ascending, distinct row-major keys and their values."""
+    rows = keys // ncols  # divmod has no loop for object keys
+    cols = rows * ncols
+    np.subtract(keys, cols, out=cols)  # one array fewer than keys - cols
+    rows, cols = (np.asarray(p, np.int64) for p in (rows, cols))
+    return SparseMatrix(nrows, ncols, _indptr(nrows, rows), cols, vals, domain)
 
 
 def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
@@ -263,12 +258,11 @@ def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
     the fold order is the input order even for non-commutative ops.
     Folded values are checked against `domain`.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    order, rows, cols = _order(rows, cols, nrows, ncols)
-    rows, cols, vals = _fold(rows, cols, _convert(vals, domain)[order],
-                             dup, zero, domain, strict_dup)
-    return _csr(nrows, ncols, rows, cols, vals, domain)
+    rows, cols = (np.asarray(p, dtype=np.int64) for p in (rows, cols))
+    order, keys = _sort(_key(rows, cols, nrows, ncols), nrows * ncols)
+    keys, vals = _fold(keys, _convert(vals, domain)[order], ncols, dup,
+                       zero, domain, strict_dup)
+    return _csr(nrows, ncols, keys, vals, domain)
 
 
 def _convert(vals, domain: Domain):
@@ -342,8 +336,8 @@ def _transpose(a: SparseMatrix) -> SparseMatrix:
     """Gustavson's permuted transposition (1978): CSR rows ascend, so a
     stable order of the column indices alone lists each column's
     entries by ascending row."""
-    order = _sort(a.indices, a.ncols)[0]
-    return SparseMatrix(a.ncols, a.nrows, _indptr(a.ncols, a.indices),
+    order, cols = _sort(a.indices, a.ncols)
+    return SparseMatrix(a.ncols, a.nrows, _indptr(a.ncols, cols),
                         a.row_arrays()[order], a.values[order], a.domain)
 
 

@@ -97,8 +97,9 @@ def load_fixture_adjacency(sr=None):
 
 def spy_sorts(monkeypatch):
     """The sorts that np.sort and np.argsort are asked for, as (name,
-    dtype, kind): `matrix._sort` packs keys into one int64 np.sort, or
-    leaves them to numpy's stable argsort (timsort)."""
+    dtype, kind): `matrix._sort` packs keys into one int64 array that it
+    sorts in place, which calls neither, or leaves them to numpy's stable
+    argsort (timsort), which takes Python int keys as objects."""
     calls = []
     for name in ("sort", "argsort"):
         def spy(a, *args, _name=name, _real=getattr(np, name), **kw):
@@ -108,8 +109,9 @@ def spy_sorts(monkeypatch):
     return calls
 
 
-PACKED = [("sort", np.dtype(np.int64), None)]
+PACKED = []
 TIMSORT = [("argsort", np.dtype(np.int64), "stable")]
+OBJECT_TIMSORT = [("argsort", np.dtype(object), "stable")]
 
 
 @pytest.fixture

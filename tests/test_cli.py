@@ -289,6 +289,15 @@ class TestBfs:
         assert main(["bfs", EDGES, "--source", "x"]) == 2
         assert "'x'" in capsys.readouterr().err
 
+    def test_negative_max_hops_exit_2(self, capsys):
+        assert main(["bfs", EDGES, "--source", "0", "--max-hops", "-1"]) == 2
+        assert "max_hops -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", [",", " , ", ""])
+    def test_empty_source_list_exit_2(self, source, capsys):
+        assert main(["bfs", EDGES, "--source", source]) == 2
+        assert "--source" in capsys.readouterr().err
+
 
 class TestTables:
     """bfs and sssp print one line per vertex, numbered from 1 with
@@ -465,6 +474,15 @@ class TestBench:
     def test_scale_guard(self, capsys):
         assert main(["bench", "--op", "mxv", "--scale-min", "20",
                      "--scale-max", "20"]) == 2
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--scale-min", "-3", "--scale-max", "-2"], "scale -3 outside"),
+        (["--scale-min", "-1", "--scale-max", "0"], "scale -1 outside"),
+        (["--scale-min", "2", "--scale-max", "2", "--edge-factor", "-1"],
+         "edge factor -1 is below 0")])
+    def test_negative_scale_or_edge_factor_exit_2(self, argv, named, capsys):
+        assert main(["bench", "--op", "mxv", "--trials", "1"] + argv) == 2
+        assert named in capsys.readouterr().err
 
     def test_empty_scale_range_exit_2(self, capsys):
         assert main(["bench", "--op", "mxm", "--scale-min", "5",

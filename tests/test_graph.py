@@ -235,6 +235,10 @@ class TestBfs:
         reached = {v for v, l in enumerate(res.levels) if l is not None}
         assert reached == {3, 0, 2}
 
+    def test_negative_max_hops_rejected(self):
+        with pytest.raises(GraphMatError, match="max_hops -1"):
+            gm.bfs_levels(load_fixture_adjacency(), [3], max_hops=-1)
+
     def test_levels_monotone(self, rng):
         for _ in range(15):
             n = rng.randint(2, 30)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import graphmat as gm
-from graphmat import kernels
+from graphmat import kernels, matrix
 from graphmat.algebra import (INTEGER, OP_INTERSECT, OP_PLUS, OP_TIMES,
                               set_domain)
 from graphmat.errors import (
@@ -15,11 +15,12 @@ from graphmat.errors import (
     GraphMatError,
     IndexBoundsError,
 )
-from graphmat.matrix import SparseMatrix, _find, check_no_stored_zero
+from graphmat.matrix import SparseMatrix, _find, _key, check_no_stored_zero
 
 import oracle
 from conftest import (
     NAMED_SEMIRINGS,
+    OBJECT_TIMSORT,
     TIMSORT,
     assert_matches_dense,
     get_semiring,
@@ -37,16 +38,21 @@ SUB = gm.BinaryOp("minus", operator.sub, commutative=False,
                   associative=False)
 
 
-def spy_records(monkeypatch):
-    """The lengths of the arrays that each np.rec.fromarrays call, as in
-    `_find`'s record branch, receives."""
-    calls, real = [], np.rec.fromarrays
+INT64, OBJECT = np.dtype(np.int64), np.dtype(object)
 
-    def spy(arrays, *args, **kwargs):
-        calls.append(len(arrays[0]))
-        return real(arrays, *args, **kwargs)
 
-    monkeypatch.setattr(np.rec, "fromarrays", spy)
+def spy_keys(monkeypatch):
+    """(length, dtype) of each array `matrix._key` returns to the code of
+    matrix.py and kernels.py."""
+    calls, real = [], matrix._key
+
+    def spy(*args):
+        keys = real(*args)
+        calls.append((len(keys), keys.dtype))
+        return keys
+
+    for module in (matrix, kernels):
+        monkeypatch.setattr(module, "_key", spy)
     return calls
 
 
@@ -876,36 +882,58 @@ class TestIndexVectors:
 
 
 class TestHugeDimensions:
-    # nrows * ncols >= 2**62 overflows the fused row-major sort key
+    # from nrows * ncols = 2**62 the row-major keys are Python ints
     BIG = 2**62
 
     def test_lexsort_fallback(self, monkeypatch):
-        # sorts take lexsort, and ewise_mult's search (row, column) records
-        calls = []
-        real_lexsort = np.lexsort
-
-        def spy(keys, *args, **kwargs):
-            calls.append(len(keys))
-            return real_lexsort(keys, *args, **kwargs)
-
-        monkeypatch.setattr(np, "lexsort", spy)
-        records = spy_records(monkeypatch)
+        # named for the lexsort these dimensions once took: now build sorts
+        # object keys in one stable argsort, and ewise_mult searches them
+        calls = spy_sorts(monkeypatch)
+        keys = spy_keys(monkeypatch)
         big = self.BIG
         a = gm.build(ARITH, (2, big), ([1, 0, 1, 0], [big - 1, 5, 3, 5],
                                        [1.0, 2.0, 3.0, 4.0]))
-        assert calls
+        assert calls == OBJECT_TIMSORT and keys == [(4, OBJECT)]
         assert list(gm.extract_tuples(a)) == [
             (0, 5, 6.0), (1, 3, 3.0), (1, big - 1, 1.0)]
         b = gm.build(ARITH, (2, big), ([1, 0], [big - 1, 7], [10.0, 1.0]))
+        calls.clear()
+        keys.clear()
         product = gm.ewise_mult(ARITH.mul, 0.0, a, b)
-        assert records == [4, 2]  # a's entries and a sentinel, then b's
+        assert not calls and keys == [(2, OBJECT), (3, OBJECT)]  # b's, a's
         assert list(gm.extract_tuples(product)) == [(1, big - 1, 10.0)]
+        assert product.indices.dtype == INT64
         total = gm.ewise_add(ARITH.add, 0.0, a, b)
         assert list(gm.extract_tuples(total)) == [
             (0, 5, 6.0), (0, 7, 1.0), (1, 3, 3.0), (1, big - 1, 11.0)]
         sub = gm.extract(a, [1, 0], [big - 1, 5, 3])
         assert list(gm.extract_tuples(sub)) == [
             (0, 0, 1.0), (0, 2, 3.0), (1, 1, 6.0)]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_products_sort_object_keys(self, masked, monkeypatch):
+        # a right operand of 2**62 columns sends mxm's block and vxm's row
+        # down the sort path, on object keys; the columns come back int64
+        big = self.BIG
+        b = gm.build(ARITH, (2, big), ([0, 1, 1, 0], [big - 1, 5, big - 1, 0],
+                                       [1.0, 2.0, 3.0, 4.0]))
+        a = gm.build(ARITH, (2, 2), ([0, 0, 1], [0, 1, 1], [1.0, 2.0, 5.0]))
+        f = gm.extract(a, [0], [0, 1])
+        want = [(0, 0, 4.0), (0, 5, 4.0), (0, big - 1, 7.0), (1, 5, 10.0),
+                (1, big - 1, 15.0)]
+        mask = row_mask = None
+        if masked:
+            mask = gm.build(XOR, (2, big), ([0, 1], [big - 1, 5], [1, 1]))
+            row_mask = gm.build(XOR, (1, big), ([0], [big - 1], [1]))
+            want = [t for t in want if t[:2] in {(0, big - 1), (1, 5)}]
+        calls = spy_sorts(monkeypatch)
+        got = kernels._mxm(ARITH, a, b, mask)
+        row = gm.vxm(ARITH, f, b, row_mask)
+        monkeypatch.undo()
+        assert calls == OBJECT_TIMSORT * 2
+        assert list(gm.extract_tuples(got)) == want
+        assert list(gm.extract_tuples(row)) == [t for t in want if t[0] == 0]
+        assert got.indices.dtype == row.indices.dtype == INT64
 
 
 class TestSelectionMatrix:
@@ -1091,9 +1119,10 @@ class TestMaskedMxmBlocks:
 
 class TestHits:
     """`matrix._find`'s answer for a structural mask's block: one row
-    searched alone by its fused keys, and the same row among three rows,
-    by fused keys and, with the columns widened to 2**61, by (row,
-    column) records; all agree with np.isin."""
+    searched alone by its int64 keys, and the same row among three rows,
+    by int64 keys and, with the columns widened to 2**61, by Python int
+    keys (the cases keep the name of the (row, column) records those
+    replaced); all agree with np.isin."""
 
     @pytest.mark.parametrize("ncols,stored", [(2**60, 50), (1000, 0),
                                               (1000, 1000), (7, 3)])
@@ -1109,12 +1138,14 @@ class TestHits:
                       for n in (ncols, 2**61))
         j = np.concatenate((rng.integers(0, ncols, 200), rows[1][:20],
                             rows[0][:20]))
-        records = spy_records(monkeypatch)
-        k1, one = _find(mask, 1, 2, np.zeros_like(j), j)
-        k3, fused = _find(mask, 0, 3, np.ones_like(j), j)
-        assert not records
-        kw, by_records = _find(wide, 0, 3, np.ones_like(j), j)
-        assert records == [len(cols) + 1, len(j)]  # + 1: the sentinel
+        keys = spy_keys(monkeypatch)
+        k1, one = _find(mask, 1, 2, _key(np.zeros_like(j), j, 1, ncols))
+        k3, fused = _find(mask, 0, 3, _key(np.ones_like(j), j, 3, ncols))
+        assert keys == [(len(rows[1]), INT64), (len(cols), INT64)]
+        keys.clear()
+        wide_keys = _key(np.ones_like(j), j, 3, 2**61)
+        kw, by_records = _find(wide, 0, 3, wide_keys)
+        assert keys == [(len(cols), OBJECT)] and wide_keys.dtype == OBJECT
         assert one.tolist() == fused.tolist() == by_records.tolist() == \
             np.isin(j, rows[1]).tolist()
         assert (k1 + indptr[1]).tolist() == k3.tolist() == kw.tolist()
@@ -1122,8 +1153,9 @@ class TestHits:
 
 class TestFind:
     """`matrix._find` against the dense oracle on either side of the
-    fused key's limit: rows r0..r1-1 times ncols below 2**62 search
-    int64 keys, from 2**62 (row, column) records."""
+    key's limit: rows r0..r1-1 times ncols below 2**62 search int64 keys
+    ("fused"), from 2**62 Python int keys ("records", named for the
+    (row, column) records they replaced)."""
 
     @pytest.mark.parametrize("nrows,ncols,r0,r1,branch", [
         (3, (2**62 - 1) // 3, 0, 3, "fused"),   # 2**62 - 1
@@ -1131,7 +1163,7 @@ class TestFind:
         (4, 2**60, 1, 4, "fused"),              # 3 * 2**60 of 4 rows
         (2, 2**61, 0, 2, "records"),            # 2**62
         (6, 2**60, 2, 6, "records"),            # 2**62 past row 0
-        (3, 2**62, 0, 3, "records"),            # fused keys would wrap
+        (3, 2**62, 0, 3, "records"),            # int64 keys would wrap
         (5, 9, 0, 5, "fused"),
     ])
     def test_positions_and_hits_against_dense(self, nrows, ncols, r0, r1,
@@ -1148,9 +1180,10 @@ class TestFind:
         i, p = (a.ravel() for a in np.meshgrid(np.arange(r1 - r0),
                                                 np.arange(len(pool)),
                                                 indexing="ij"))
-        records = spy_records(monkeypatch)
-        k, hit = _find(m, r0, r1, i, pool[p])
-        assert bool(records) == (branch == "records")
+        keys = spy_keys(monkeypatch)
+        k, hit = _find(m, r0, r1, _key(i, pool[p], r1 - r0, ncols))
+        assert keys == [(m.indptr[r1] - m.indptr[r0],
+                         OBJECT if branch == "records" else INT64)]
         assert hit.tolist() == dense[r0 + i, p].tolist()
         # k counts the block's entries before the position, row-major
         lo = m.indptr[r0]
@@ -1162,9 +1195,9 @@ class TestFind:
     def test_empty_block_and_query(self):
         m = SparseMatrix(3, 5, np.array([0, 2, 2, 3]), np.array([1, 4, 0]),
                          np.ones(3, np.uint8), XOR.domain)
-        k, hit = _find(m, 1, 2, np.array([0, 0]), np.array([1, 4]))
+        k, hit = _find(m, 1, 2, np.array([1, 4]))
         assert k.tolist() == [0, 0] and hit.tolist() == [False, False]
-        k, hit = _find(m, 0, 3, np.empty(0, np.int64), np.empty(0, np.int64))
+        k, hit = _find(m, 0, 3, np.empty(0, np.int64))
         assert len(k) == len(hit) == 0
 
 

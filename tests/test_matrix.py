@@ -12,7 +12,7 @@ from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 from graphmat.matrix import (
     _TIMSORT_MAX_RUNS,
-    _order,
+    _key,
     _sort,
     check_no_stored_zero,
     coalesce,
@@ -21,6 +21,7 @@ from graphmat.matrix import (
 import oracle
 from conftest import (
     NAMED_SEMIRINGS,
+    OBJECT_TIMSORT,
     PACKED,
     TIMSORT,
     assert_matches_dense,
@@ -67,9 +68,19 @@ class TestBuild:
             gm.build(ARITH, (2, 2), ([0, 1], [0], [1.0]))
 
     def test_strict_mode_rejects_duplicates(self):
-        with pytest.raises(GraphMatError):
+        with pytest.raises(GraphMatError, match=r"^duplicate entry at "
+                           r"\(0, 0\) in strict mode$"):
             gm.build(ARITH, (2, 2), ([0, 0], [0, 0], [5.0, 3.0]),
                      strict_dup=True)
+
+    @pytest.mark.parametrize("ncols", [3, 2**61 - 1, 2**61])
+    def test_strict_mode_names_the_duplicate_about_2_62(self, ncols):
+        # 2 x 2**61 keys reach 2**62 and are Python ints; the message names
+        # (row, col) on either side
+        with pytest.raises(GraphMatError, match=r"^duplicate entry at "
+                           rf"\(1, {ncols - 1}\) in strict mode$"):
+            gm.build(ARITH, (2, ncols), ([1, 0, 1], [ncols - 1, 0, ncols - 1],
+                                         [5.0, 3.0, 1.0]), strict_dup=True)
 
     def test_non_commutative_dup_folds_in_input_order(self):
         sub = gm.BinaryOp("minus", operator.sub, commutative=False,
@@ -284,10 +295,18 @@ class TestNaNRejected:
             gm.vxm(sr, row, col)
 
 
-def assert_row_major(got, rows, cols):
-    """`_order`'s (order, rows, cols) against lexsort's order."""
+def sort_keys(rows, cols, nrows, ncols):
+    """Row-major (order, sorted keys) of (rows, cols), as coalesce sorts."""
+    return _sort(_key(rows, cols, nrows, ncols), nrows * ncols)
+
+
+def assert_row_major(got, rows, cols, ncols):
+    """`sort_keys`'s (order, keys) against lexsort's order: the keys split
+    into the rows and columns that order sorts."""
     want = np.lexsort((cols, rows))
-    order, sorted_rows, sorted_cols = got
+    order, keys = got
+    sorted_rows, sorted_cols = (np.array(p, dtype=np.int64)
+                                for p in (keys // ncols, keys % ncols))
     assert np.array_equal(order, want)
     assert np.array_equal(sorted_rows, rows[want])
     assert np.array_equal(sorted_cols, cols[want])
@@ -296,11 +315,12 @@ def assert_row_major(got, rows, cols):
 class TestOrder:
     # 5,000 keys take 13 position bits: rows x columns below 2**50 leave
     # key and position bits at 63, the packed sort's budget; one more
-    # column makes them 64 (timsort); from 2**62 lexsort orders (row,
-    # column) pairs
+    # column makes them 64 (timsort); from 2**62 the keys are Python ints,
+    # which timsort orders as objects
     @pytest.mark.parametrize("dims, sorts", [
         ((2**25, 2**25), PACKED), ((2**25, 2**25 + 1), TIMSORT),
-        ((2**31, 2**31), [])], ids=["packed", "timsort", "lexsort"])
+        ((2**31, 2**31), OBJECT_TIMSORT)],
+        ids=["packed", "timsort", "object"])
     def test_stable_row_major_on_either_side_of_the_packed_budget(
             self, dims, sorts, monkeypatch):
         rng = np.random.default_rng(3)
@@ -308,10 +328,41 @@ class TestOrder:
         rows = rng.choice([0, 1, dims[0] - 1], 5000)
         cols = rng.choice([0, dims[1] // 2, dims[1] - 1], 5000)
         calls = spy_sorts(monkeypatch)
-        got = _order(rows, cols, *dims)
+        got = sort_keys(rows, cols, *dims)
         monkeypatch.undo()
         assert calls == sorts
-        assert_row_major(got, rows, cols)
+        assert got[1].dtype == (object if sorts == OBJECT_TIMSORT
+                                else np.int64)
+        assert_row_major(got, rows, cols, dims[1])
+
+
+class TestKey:
+    """`_key` is int64 while rows x columns stay below 2**62 and Python
+    ints from there; coalesce then sorts them in one stable argsort."""
+
+    @pytest.mark.parametrize("dims, dtype", [
+        ((1, 2**62 - 1), np.int64), ((3, (2**62 - 1) // 3), np.int64),
+        ((1, 2**62), object), ((2, 2**61), object), ((2**31, 2**31), object),
+        ((2**40, 2**40), object)])
+    def test_dtype_on_either_side_of_2_62(self, dims, dtype):
+        nrows, ncols = dims
+        rows, cols = np.array([0, nrows - 1]), np.array([ncols - 1, 0])
+        keys = _key(rows, cols, nrows, ncols)
+        assert keys.dtype == dtype
+        assert keys.tolist() == [ncols - 1, (nrows - 1) * ncols]
+
+    def test_coalesce_past_2_62_takes_one_object_argsort(self, monkeypatch):
+        big = 2**62
+        calls = spy_sorts(monkeypatch)
+        a = coalesce(3, big, [2, 0, 2, 1, 0], [big - 1, 9, 0, big - 1, 9],
+                     np.array([1.0, 2.0, 3.0, 4.0, 5.0]), OP_PLUS, 0.0,
+                     ARITH.domain)
+        monkeypatch.undo()
+        assert calls == OBJECT_TIMSORT
+        assert a.indptr.tolist() == [0, 1, 2, 4]
+        assert a.indices.dtype == np.int64
+        assert a.indices.tolist() == [9, big - 1, 0, big - 1]
+        assert a.values.tolist() == [7.0, 4.0, 3.0, 1.0]
 
 
 def _keys_in(rng, span, runs, n):
@@ -337,9 +388,10 @@ def _keys_in(rng, span, runs, n):
 
 
 class TestArgsort:
-    """`_order` against lexsort, on keys in few runs and in many, at key
-    spans around 16-bit boundaries and up to the largest below lexsort's
-    2**62; `_sort` against numpy's stable argsort."""
+    """`_sort` of `_key`s against lexsort, on keys in few runs and in many,
+    at key spans around 16-bit boundaries and up to the largest below
+    2**62, where the keys turn to Python ints; `_sort` against numpy's
+    stable argsort."""
 
     # row x column splits of 2**16, 2**16 + 1, 2**32, 2**32 + 1, 2**48,
     # 2**48 + 1 and 2**62 - 1
@@ -361,9 +413,9 @@ class TestArgsort:
         keys = _keys_in(np.random.default_rng(span % 1009), span, runs, 3000)
         rows, cols = keys // ncols, keys % ncols
         calls = spy_sorts(monkeypatch)
-        got = _order(rows, cols, nrows, ncols)
+        got = sort_keys(rows, cols, nrows, ncols)
         monkeypatch.undo()
-        assert_row_major(got, rows, cols)
+        assert_row_major(got, rows, cols, ncols)
         many = runs == "random" or (runs != "local"
                                     and runs >= _TIMSORT_MAX_RUNS)
         fits = int(span - 1).bit_length() + 12 <= 63
