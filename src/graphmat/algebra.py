@@ -27,9 +27,10 @@ class Domain:
 
     Membership is checked when scalars enter the system (matrix build,
     scalar entry points) and again on every folded result (build's
-    duplicates, ewise_add, ewise_mult, mxm, vxm). int64 products and
-    sums are computed on Python ints, so an overflow reaches the fold
-    and fails there instead of wrapping. NaN is in no real domain.
+    duplicates, ewise_add, ewise_mult, mxm, vxm). Exact integer sums and
+    products run on int64 only where a bound rules out overflow, else on
+    Python ints, so an overflow fails at the fold instead of wrapping.
+    NaN is in no real domain.
     """
 
     name: str
@@ -59,9 +60,11 @@ class Domain:
         if self.dtype is np.float64 and np.isnan(values).any():
             raise DomainError(f"NaN is not in domain {self.name}")
         if self is NATURAL:
-            for v in values.flat:
-                if not (isinstance(v, int) and 0 <= v <= U64_MAX):
-                    raise DomainError(f"{v!r} is not a 64-bit natural")
+            bad = (values[values < 0].tolist() if values.dtype.kind in "iu"
+                   else [v for v in values.flat if not (
+                       isinstance(v, int) and 0 <= v <= U64_MAX)])
+            if bad:
+                raise DomainError(f"{bad[0]!r} is not a 64-bit natural")
         elif self is REAL_NONNEG:
             if not np.all(values >= 0):
                 raise DomainError("negative value in non-negative domain")

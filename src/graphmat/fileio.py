@@ -26,14 +26,15 @@ from .matrix import SparseMatrix, _ranges, build, extract_tuples
 class EdgeColumns:
     """Edge records as incidence columns: for each side, the edge id and
     vertex of every (edge, vertex) pair as int64 arrays in file order,
-    and one weight per edge, None where the line gives none (the
-    multiplicative identity). len() is the number of edges."""
+    and one weight per edge: an array from a column of digits, else a
+    list, None where a line gives none (the multiplicative identity).
+    len() is the number of edges."""
 
     out_edges: np.ndarray
     out_vertices: np.ndarray
     in_edges: np.ndarray
     in_vertices: np.ndarray
-    weights: list
+    weights: list | np.ndarray
 
     @classmethod
     def from_groups(cls, outs, ins, weights):
@@ -113,7 +114,7 @@ def _plain_columns(text, sep, widths, shift, parse, default, edge_list=False):
     table = _digit_table(raw, buf, ends, last, parse is float and w == 3)
     if table is not None and (parse in _EXACT or w == 2):
         cols = [table[k] for k in at]
-        vals = cols[2].astype(_EXACT[parse]).tolist() if w == 3 else []
+        vals = cols[2].astype(_EXACT[parse]) if w == 3 else []
     elif not grouped and not (edge_list and b"out=" in raw):
         tokens = raw[:-1].decode().replace("\n", sep).split(sep)
         cols = [tokens[k] for k in at]
@@ -125,7 +126,7 @@ def _plain_columns(text, sep, widths, shift, parse, default, edge_list=False):
         raise ValueError("negative vertex index")
     ids = [line[at[0]], line[at[1]]] if grouped else [np.arange(len(last))] * 2
     return EdgeColumns(ids[0], out_v, ids[1], in_v,
-                       vals or [default] * len(last))
+                       vals if w == 3 else [default] * len(last))
 
 
 def _layout(raw, sep, edge_list):
@@ -218,7 +219,7 @@ def read_edge_list(path, one_based=False, value_parser=None):
 def read_triples(path, one_based=False, value_parser=None, default=1):
     """(rows, cols, vals, n) of a TSV edge list, as read_edge_list,
     triples_from_edges(edges, default) and edges.n_vertices give them,
-    errors included; rows and cols are int64 arrays."""
+    errors included; rows and cols are int64 arrays, vals as weights are."""
     edges = _read_edges(path, one_based, value_parser, default)
     n = edges.n_vertices
     if len(edges.out_vertices) == len(edges.in_vertices) == len(edges):

@@ -133,6 +133,8 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
                              actual=f"{a.nrows}x{a.ncols}")
     n = a.nrows
     frontier = np.unique(_check_index_vector(list(sources), n, "source"))
+    if not len(frontier):
+        raise GraphMatError("no source vertex given")
     if max_hops is None:
         max_hops = n
     elif max_hops < 0:

@@ -71,28 +71,25 @@ def _dense(slots, products):
     return slots <= max(4 * products, _DENSE_MIN_SLOTS)
 
 
-def _accumulate(sr, nslots, chunks, keep=None):
+def _accumulate(sr, dtype, nslots, chunks, keep=None):
     """Fold (slots, products) chunks into a sparse accumulator of `nslots`
-    slots (Gilbert, Moler & Schreiber 1992) and return the positions and
-    values of the slots that end nonzero, in slot order.
+    `dtype` slots (Gilbert, Moler & Schreiber 1992) and return the
+    positions and values of the slots that end nonzero, in slot order.
 
     Every slot starts at the 0-element and ufunc.at folds each product
     into its slot in input order, left to right as _fold does. `keep`,
     a bool per slot, drops slots before the domain check.
     """
     # ndarray methods: np.full's and np.flatnonzero's wrappers cost µs
-    acc = np.empty(nslots, dtype=sr.domain.dtype)
+    acc = np.empty(nslots, dtype=dtype)
     acc.fill(sr.zero)
-    acc = _wide(acc, sr.domain, sr.add)
     for slots, prod in chunks:
         sr.add.ufunc.at(acc, slots, prod)
     nonzero = acc != sr.zero
     if keep is not None:
         nonzero &= keep
     pos = nonzero.nonzero()[0]
-    vals = _narrow(acc[pos], sr.domain)
-    sr.domain.check_array(vals)
-    return pos, vals
+    return pos, _narrow(acc[pos], sr.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +116,8 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
     starts = b.indptr[a.indices]
     counts = b.indptr[1:][a.indices] - starts  # products per entry of a
     total = int(counts.sum())
+    # a result folds at most one product per entry of a's row
+    x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero, a, a, b)
     blocks = [(0, a.nrows, total)]  # first row, row past the end, products
     if total > _MXM_CHUNK_PRODUCTS:
         # rows in blocks whose products stay below the block cap
@@ -129,8 +128,8 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
                 row_cum, row_cum[r0] + _MXM_CHUNK_PRODUCTS, side="right")) - 1)
             blocks.append((r0, r1, int(row_cum[r1] - row_cum[r0])))
             r0 = r1
-    parts = [_mxm_block(sr, a, b, r0, r1, products, starts, counts, mask,
-                        complement) for r0, r1, products in blocks]
+    parts = [_mxm_block(sr, a, b, x, y, r0, r1, products, starts, counts,
+                        mask, complement) for r0, r1, products in blocks]
     if len(parts) == 1:  # the one block's matrix is the result
         return parts[0]
     indptr = np.concatenate([[0]] + [np.diff(p.indptr) for p in parts])
@@ -139,31 +138,31 @@ def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
         sr.domain)
 
 
-def _mxm_block(sr, a, b, r0, r1, products, starts, counts, mask,
+def _mxm_block(sr, a, b, x, y, r0, r1, products, starts, counts, mask,
                complement):
-    """Rows r0..r1-1 of a b as a matrix, accumulated, or sorted if too wide."""
+    """Rows r0..r1-1 of a b on values x, y: accumulated, or sorted if wide."""
     nb, ncols, lo, hi = r1 - r0, b.ncols, a.indptr[r0], a.indptr[r1]
-    starts, counts, x = starts[lo:hi], counts[lo:hi], a.values[lo:hi]
+    starts, counts, x = starts[lo:hi], counts[lo:hi], x[lo:hi]
     rows = np.repeat(np.arange(nb), np.diff(a.indptr[r0:r1 + 1]))
     if _dense(nb * ncols, products):
         def chunks():
             for clo, chi, pos in _chunks(starts, counts):
                 slots = b.indices[pos]  # slot (i - r0) * ncols + j
                 slots += rows[clo:chi].repeat(counts[clo:chi]) * ncols
-                yield slots, sr.mul.ufunc(_wide(x[clo:chi].repeat(
-                    counts[clo:chi]), sr.domain), b.values[pos])
+                yield slots, sr.mul.ufunc(x[clo:chi].repeat(counts[clo:chi]),
+                                          y[pos])
 
-        keys, vals = _accumulate(sr, nb * ncols, chunks(),
+        keys, vals = _accumulate(sr, x.dtype, nb * ncols, chunks(),
                                  _keep(mask, complement, r0, r1, ncols))
     else:
-        keys, vals = _sort_fold(sr, b, _ranges(starts, counts), rows, x,
+        keys, vals = _sort_fold(sr, b, y, _ranges(starts, counts), rows, x,
                                 counts, r0, r1, mask, complement)
     return _csr(nb, ncols, keys, vals, sr.domain)
 
 
-def _sort_fold(sr, b, pos, rows, x, counts, r0, r1, mask, complement):
-    """x[k], in block row rows[k], times its counts[k] entries of b at
-    `pos`, masked, sorted and folded: (`_key`s in the block, values)."""
+def _sort_fold(sr, b, y, pos, rows, x, counts, r0, r1, mask, complement):
+    """x[k], in block row rows[k], times its counts[k] entries of b, y
+    at `pos`, masked, sorted and folded: (`_key`s in the block, values)."""
     keys = _key(rows.repeat(counts), b.indices[pos], r1 - r0, b.ncols)
     x = x.repeat(counts)
     if mask is not None:
@@ -171,7 +170,7 @@ def _sort_fold(sr, b, pos, rows, x, counts, r0, r1, mask, complement):
                else mask[r0 * b.ncols + keys])
         hit = np.flatnonzero(hit != complement)
         pos, keys, x = pos[hit], keys[hit], x[hit]
-    prod = sr.mul.ufunc(_wide(x, sr.domain), b.values[pos])
+    prod = sr.mul.ufunc(x, y[pos])
     order, keys = _sort(keys, (r1 - r0) * b.ncols)
     return _fold(keys, prod[order], b.ncols, sr.add, sr.zero, sr.domain)
 
@@ -183,10 +182,8 @@ def _vxm(sr, ids, x, b, mask=None, complement=False):
     starts = b.indptr[ids]
     counts = b.indptr[1:][ids] - starts  # products per entry of the row
     total, ncols = int(counts.sum()), b.ncols
-    if not _dense(ncols, total):  # and so too few products to pull
-        return _sort_fold(sr, b, _ranges(starts, counts), np.zeros(
-            len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)
-    keep = _keep(mask, complement, 0, 1, ncols)
+    dense = _dense(ncols, total)  # if not, too few products to pull
+    keep = _keep(mask, complement, 0, 1, ncols) if dense else None
     if keep is not None and total > ncols + _PULL_CALLS:
         # the kept columns' in-edges, from b^T once built; until then a
         # square b's out-degrees stand in and a rectangular b counts them
@@ -196,12 +193,16 @@ def _vxm(sr, ids, x, b, mask=None, complement=False):
                  else np.count_nonzero(keep[b.indices]))
         if total > reads + ncols + _PULL_CALLS:
             return _pull(sr, ids, x, b._transposed(), keep)
+    x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero, len(ids),
+                 x, b)
+    if not dense:
+        return _sort_fold(sr, b, y, _ranges(starts, counts), np.zeros(
+            len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)
     # positions in one go when one chunk holds them all
     parts = (_chunks(starts, counts) if total > _VXM_CHUNK_PRODUCTS
              else [(0, len(ids), _ranges(starts, counts))])
-    return _accumulate(sr, ncols, ((b.indices[p], sr.mul.ufunc(_wide(
-        x[lo:hi].repeat(counts[lo:hi]), sr.domain), b.values[p]))
-        for lo, hi, p in parts), keep)
+    return _accumulate(sr, x.dtype, ncols, ((b.indices[p], sr.mul.ufunc(
+        x[lo:hi].repeat(counts[lo:hi]), y[p])) for lo, hi, p in parts), keep)
 
 
 def _pull(sr, ids, x, bt, keep):
@@ -209,6 +210,8 @@ def _pull(sr, ids, x, bt, keep):
     bt that `keep` sets (every row if None), x as mul's left operand;
     (rows, values) of those that end nonzero."""
     rows = np.arange(bt.nrows) if keep is None else np.flatnonzero(keep)
+    x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero, len(ids),
+                 x, bt)
     # x as one slot per position plus a presence bitmap
     present = np.zeros(bt.ncols, dtype=bool)
     present[ids] = True
@@ -223,10 +226,9 @@ def _pull(sr, ids, x, bt, keep):
             cols = bt.indices[pos]
             hit = np.flatnonzero(present[cols])  # faster than a bool index
             slots = np.repeat(np.arange(lo, hi), counts[lo:hi])
-            yield slots[hit], sr.mul.ufunc(
-                _wide(dense[cols[hit]], sr.domain), bt.values[pos[hit]])
+            yield slots[hit], sr.mul.ufunc(dense[cols[hit]], y[pos[hit]])
 
-    kept, vals = _accumulate(sr, len(rows), chunks())
+    kept, vals = _accumulate(sr, x.dtype, len(rows), chunks())
     return rows[kept], vals
 
 
@@ -377,12 +379,11 @@ def _ewise_mult(op, zero, a, b):
     pair only; the zeros dropped and op's results checked."""
     keys = _key(b.row_arrays(), b.indices, b.nrows, b.ncols)
     k, hit = _find(a, 0, a.nrows, keys)
-    vals = _narrow(op.ufunc(_wide(a.values[k[hit]], a.domain),
-                            b.values[hit]), a.domain)
+    vals = op.ufunc(*_wide(a.domain, None, op.ufunc, zero, 1,
+                           a.values[k[hit]], b.values[hit]))
     keep = vals != zero
-    vals = vals[keep]
-    a.domain.check_array(vals)
-    return _csr(a.nrows, a.ncols, keys[hit][keep], vals, a.domain)
+    return _csr(a.nrows, a.ncols, keys[hit][keep],
+                _narrow(vals[keep], a.domain), a.domain)
 
 
 # ---------------------------------------------------------------------------

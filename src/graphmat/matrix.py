@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BinaryOp, Domain, Semiring
+from .algebra import NATURAL, BinaryOp, Domain, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
 
 
@@ -48,10 +48,11 @@ class SparseMatrix:
     the kernels that read columns (a pull hop of BFS). A directed graph
     that has been pulled over thus holds one transpose as well, twice
     its memory; a matrix equal to its transpose holds itself there.
+    Another keeps `_words` of its values, for exact integer kernels.
     """
 
     __slots__ = ("nrows", "ncols", "indptr", "indices", "values", "domain",
-                 "_t")
+                 "_t", "_w")
 
     def __init__(self, nrows, ncols, indptr, indices, values, domain: Domain):
         self.nrows = int(nrows)
@@ -60,7 +61,7 @@ class SparseMatrix:
         self.indices = indices
         self.values = values
         self.domain = domain
-        self._t = None
+        self._t = self._w = None
 
     def _transposed(self, build=True):
         """The cached transpose, built and kept on first use; with
@@ -177,27 +178,61 @@ def _find(m, r0, r1, keys):
     return k, have[k] == keys
 
 
-def _wide(vals, domain: Domain, op: BinaryOp | None = None):
-    """`vals` ready for arithmetic in `domain` and folds by `op`: int64
-    values, and any for a Python op (its one loop OO->O; `ntypes` is read
-    first, as `types` builds a list), become Python values, so no step
-    wraps or is cast back to the dtype; `_narrow` turns them back."""
-    if np.dtype(domain.dtype) == np.int64 or (op is not None and (
-            op.ufunc.ntypes == 1 and op.ufunc.types == ["OO->O"])):
-        return vals.astype(object)
-    return vals
+# ufuncs `_wide` bounds; no fold by np.multiply, which grows as a power
+_WORD_OPS = (np.add, np.minimum, np.maximum, np.multiply)
+
+
+def _words(v):
+    """(values as int64, their largest magnitude) of an array or matrix
+    `v`, (None, 2**63) if one is beyond int64; a matrix keeps its pair."""
+    if isinstance(v, SparseMatrix):
+        if v._w is None:
+            v._w = _words(v.values)
+        return v._w
+    try:
+        w = np.asarray(v, dtype=np.int64)
+    except OverflowError:
+        return None, 2**63
+    return w, max(-int(w.min(initial=0)), int(w.max(initial=0)))
+
+
+def _wide(domain: Domain, add, mul, zero, terms, *operands):
+    """The values of `operands`, arrays or matrices x (and y), ready for
+    a fold by ufunc `add`, from `zero`, of at most `terms` (a matrix:
+    its longest row) values mul(x, y) (x alone if `mul` is None; no fold
+    if `add` is None). In NATURAL and int64 domains they are int64 when
+    that is exact: `add` is np.add, np.minimum or np.maximum, `mul` one
+    of those or np.multiply, and terms * (Z + 1) * (X + 1) * (Y + 1) <
+    2**63 for Z, X, Y the largest magnitudes of `zero`, x, y. Else x is
+    Python ints, as under a Python `add` (its one loop OO->O; `ntypes`
+    is read first, as `types` builds a list), so no step wraps or is
+    cast back to the dtype; `_narrow` turns the results back."""
+    vals = [v.values if isinstance(v, SparseMatrix) else v for v in operands]
+    if domain is NATURAL or np.dtype(domain.dtype) == np.int64:
+        if add in (None, *_WORD_OPS[:3]) and mul in (None, *_WORD_OPS):
+            words = [_words(v) for v in operands]
+            if isinstance(terms, SparseMatrix):
+                terms = int(np.diff(terms.indptr).max())
+            bound = max(terms, 1) * (int(min(abs(zero), 2**63)) + 1)
+            for _, magnitude in words:
+                bound *= magnitude + 1
+            if bound < 2**63:
+                return [w for w, _ in words]
+    elif add is None or add.ntypes != 1 or add.types != ["OO->O"]:
+        return vals
+    return [vals[0].astype(object, copy=False), *vals[1:]]
 
 
 def _narrow(vals, domain: Domain):
-    """Folded `vals` in `domain`'s dtype; DomainError for any that no
-    longer fit."""
-    if vals.dtype != domain.dtype:
+    """Folded `vals` checked, in `domain`'s dtype (NATURAL's Python ints)."""
+    if vals.dtype != domain.dtype and domain.dtype is not object:
         try:
             vals = vals.astype(domain.dtype)
         except OverflowError:
             raise DomainError(
                 f"folded value outside domain {domain.name}") from None
-    return vals
+    domain.check_array(vals)
+    return vals if vals.dtype == domain.dtype else vals.astype(object)
 
 
 def _fold(keys, vals, ncols, dup: BinaryOp, zero, domain: Domain,
@@ -212,15 +247,13 @@ def _fold(keys, vals, ncols, dup: BinaryOp, zero, domain: Domain,
         raise GraphMatError(f"duplicate entry at {divmod(int(keys[k]), ncols)}"
                             " in strict mode")
     starts, rest = np.flatnonzero(boundary), np.flatnonzero(~boundary)
-    vals = _wide(vals, domain, dup)
+    # no run holds more than one value beyond the duplicates
+    vals, = _wide(domain, dup.ufunc, None, zero, len(rest) + 1, vals)
     folded = vals[starts]  # each run seeded with its first value
     # rest[k] follows rest[k] - k run starts, so it is in run rest[k] - k - 1
     dup.ufunc.at(folded, rest - np.arange(1, len(rest) + 1), vals[rest])
-    vals = _narrow(folded, domain)
-    keep = vals != zero
-    vals = vals[keep]
-    domain.check_array(vals)
-    return keys[starts][keep], vals
+    keep = folded != zero
+    return keys[starts][keep], _narrow(folded[keep], domain)
 
 
 def _indptr(nrows, rows):

@@ -239,6 +239,11 @@ class TestBfs:
         with pytest.raises(GraphMatError, match="max_hops -1"):
             gm.bfs_levels(load_fixture_adjacency(), [3], max_hops=-1)
 
+    @pytest.mark.parametrize("sources", [[], (), np.empty(0, np.int64)])
+    def test_empty_source_list_rejected(self, sources):
+        with pytest.raises(GraphMatError, match="no source vertex"):
+            gm.bfs_levels(load_fixture_adjacency(), sources)
+
     def test_levels_monotone(self, rng):
         for _ in range(15):
             n = rng.randint(2, 30)

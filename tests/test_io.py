@@ -16,12 +16,18 @@ from conftest import DATA_DIR, get_semiring, random_matrix
 ARITH = gm.semiring_by_name("arith-real")
 
 
+def py(vals):
+    """Weights or values as a list of Python values: the readers hand a
+    column of digits over as an array."""
+    return vals.tolist() if isinstance(vals, np.ndarray) else vals
+
+
 def columns(edges):
     """An EdgeColumns as lists: out edge ids and vertices, in edge ids
     and vertices, weights."""
     return (edges.out_edges.tolist(), edges.out_vertices.tolist(),
             edges.in_edges.tolist(), edges.in_vertices.tolist(),
-            edges.weights)
+            py(edges.weights))
 
 
 class TestReadEdgeList:
@@ -337,7 +343,7 @@ def outcome(fn, *args):
     except Exception as exc:
         return type(exc), str(exc)
     return ([int(r) for r in rows], [int(c) for c in cols],
-            [repr(v) for v in vals], n)
+            [repr(v) for v in py(vals)], n)
 
 
 NATURAL = gm.semiring_by_name("arith-natural")
@@ -420,7 +426,7 @@ def edge_outcome(read, *args):
         edges = read(*args)
     except Exception as exc:
         return type(exc), str(exc)
-    return columns(edges)[:4], [repr(w) for w in edges.weights]
+    return columns(edges)[:4], [repr(w) for w in py(edges.weights)]
 
 
 class TestEdgeListColumns:
@@ -494,8 +500,28 @@ class TestReadTriples:
         monkeypatch.setattr(fileio, "_parse_lines", None)
         rows, cols, vals, n = fileio.read_triples(p, value_parser=float)
         assert rows.dtype == cols.dtype == np.int64
-        assert (rows.tolist(), cols.tolist(), vals, n) == \
+        assert (rows.tolist(), cols.tolist(), py(vals), n) == \
             ([0, 3], [1, 0], [2.5, 1000.0], 4)
+
+    def test_digit_weights_reach_build_as_an_array(self, tmp_path,
+                                                   monkeypatch):
+        p = tmp_path / "e.tsv"
+        p.write_text("0\t1\t5\n3\t0\t7\n")
+        vals = fileio.read_triples(p)[2]
+        assert vals.dtype == np.int64 and vals.tolist() == [5, 7]
+        mm = tmp_path / "m.mtx"
+        mm.write_text("%%MatrixMarket matrix coordinate integer general\n"
+                      "2 2 2\n1 2 5\n2 1 7\n")
+        given, real = [], fileio.build
+
+        def spy(sr, dims, triples, *args, **kwargs):
+            given.append(type(triples[2]))
+            return real(sr, dims, triples, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "build", spy)
+        a = fileio.read_matrix_market(mm, NATURAL)
+        assert given == [np.ndarray]
+        assert [(type(v), v) for v in a.values] == [(int, 5), (int, 7)]
 
     def test_comments_and_blank_lines_take_no_line_parser(
             self, tmp_path, monkeypatch):
@@ -818,7 +844,7 @@ class TestDigitTable:
         p = tmp_path / "e.tsv"
         p.write_text(f"# a comment\n0\t1\t5\n3\t0\t{big}\n")
         rows, cols, vals, n = fileio.read_triples(p, value_parser=float)
-        assert (rows.tolist(), cols.tolist(), vals, n) == \
+        assert (rows.tolist(), cols.tolist(), py(vals), n) == \
             ([0, 3], [1, 0], [5.0, float(str(big))], 4)
         p.write_text("1\t2\n3\t1\n")
         rows, cols, vals, n = fileio.read_triples(p, True, default=7)
@@ -871,7 +897,7 @@ class TestPointZeroWeights:
             a = fileio.read_matrix_market(mm, ARITH)
             assert len(tables) == 2 and all(t is not None for t in tables)
         expected = [float(w + ".0") for w in weights]
-        assert list(map(repr, vals)) == list(map(repr, expected))
+        assert list(map(repr, py(vals))) == list(map(repr, expected))
         assert [a.get(k, k + 1, 0.0) for k in range(len(weights))] == expected
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fileio, "_digit_table", declined)

@@ -1,9 +1,12 @@
 import math
 import operator
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphmat as gm
 from graphmat import kernels, matrix
@@ -702,6 +705,196 @@ class TestInt64Closed:
             assert got.values.tolist() == [2**63 - 1]
 
 
+def spy_wide(monkeypatch):
+    """The dtype of x as each `_wide` call hands it back: the dtype that
+    the products, the accumulator and the fold take."""
+    calls, real = [], matrix._wide
+
+    def spy(*args):
+        vals = real(*args)
+        calls.append(vals[0].dtype)
+        return vals
+
+    for module in (matrix, kernels):
+        monkeypatch.setattr(module, "_wide", spy)
+    return calls
+
+
+def outcome(fn):
+    """A kernel's result as lists, each value with its Python type, or
+    DomainError if it raises that."""
+    try:
+        m = fn()
+    except DomainError:
+        return DomainError
+    return (m.dims, m.indptr.tolist(), m.indices.tolist(), m.values.dtype,
+            [(type(v), v) for v in m.values.tolist()])
+
+
+class TestWordPath:
+    """Exact NATURAL and int64 semirings run on int64 words when a bound
+    on their operands rules out overflow, with the results of Python
+    ints."""
+
+    INT = TestInt64Closed.INT
+    SEMIRINGS = {"natural": (NAT, 0, 2**64 - 1),
+                 "integer": (INT, -(2**63), 2**63 - 1)}
+
+    @staticmethod
+    def _matrix(sr, rng, m, n, value, density=0.5):
+        cells = [(i, j) for i in range(m) for j in range(n)
+                 if rng.random() < density]
+        return gm.build(sr, (m, n), ([i for i, _ in cells],
+                                     [j for _, j in cells],
+                                     [value() for _ in cells]))
+
+    @staticmethod
+    def _kernels(sr, a, b, f, v, bitmap, dups):
+        return {
+            "mxm": lambda: gm.mxm(sr, a, b),
+            "vxm": lambda: gm.vxm(sr, f, a),
+            "vxm bitmap": lambda: gm.vxm(sr, f, a, mask=bitmap),
+            "vxm complement": lambda: gm.vxm(sr, f, a, mask=bitmap,
+                                             complement=True),
+            "mxv": lambda: gm.mxv(sr, a, v),
+            "ewise_add": lambda: gm.ewise_add(sr.add, sr.zero, a, a),
+            "ewise_mult": lambda: gm.ewise_mult(sr.mul, sr.zero, a, a),
+            "build": lambda: gm.build(sr, (3, 3), dups),
+        }
+
+    @pytest.mark.parametrize("name", ["natural", "integer"])
+    def test_equals_object_path(self, name, monkeypatch):
+        sr, lo, hi = self.SEMIRINGS[name]
+        # per configuration: mxm's accumulator and vxm's push, then
+        # both on the sort path, then a masked vxm that pulls
+        configs = [{}, {"_dense": lambda slots, products: False},
+                   {"_PULL_CALLS": -(10**9)}]
+
+        @settings(max_examples=40, deadline=None)
+        @given(seed=st.integers(0, 2**32),
+               top=st.sampled_from([9, 2**20, 2**30, 2**31 + 5, 2**61,
+                                    2**62, 2**64]))
+        def check(seed, top):
+            rng = random.Random(seed)
+
+            def value():
+                return rng.randint(max(lo, -top), min(hi, top))
+
+            a = self._matrix(sr, rng, 7, 6, value)
+            b = self._matrix(sr, rng, 6, 5, value)
+            f = self._matrix(sr, rng, 1, 7, value, density=0.7)
+            v = self._matrix(sr, rng, 6, 1, value, density=0.7)
+            bitmap = np.array([rng.random() < 0.5 for _ in range(6)])
+            cells = [rng.randrange(3) for _ in range(12)]
+            dups = (cells, [c * 7 % 3 for c in cells],
+                    [value() for _ in cells])
+            for config in configs:
+                with pytest.MonkeyPatch.context() as mp:
+                    for attr, setting in config.items():
+                        mp.setattr(kernels, attr, setting)
+                    ops = self._kernels(sr, a, b, f, v, bitmap, dups)
+                    word = {k: outcome(op) for k, op in ops.items()}
+                    mp.setattr(matrix, "_WORD_OPS", ())
+                    assert word == {k: outcome(op) for k, op in ops.items()}
+
+        check()
+
+    @pytest.mark.parametrize("name", ["natural", "integer"])
+    def test_words_below_the_bound_objects_above(self, name, monkeypatch):
+        sr = self.SEMIRINGS[name][0]
+        calls = spy_wide(monkeypatch)
+
+        def m(dims, rows, cols, vals):
+            return gm.build(sr, dims, (rows, cols, vals))
+
+        ones = m((2, 1), [0, 1], [0, 0], [1, 1])
+        # the largest x below the bound: two products x * 1 fold into a
+        # result, one product x * x is one, two values x fold into one
+        cases = [
+            (2**61 - 2, lambda x: gm.mxm(sr, m((2, 2), [0, 0, 1], [0, 1, 0],
+                                                [x] * 3), ones), [2, 1]),
+            (2**61 - 2, lambda x: gm.vxm(sr, m((1, 2), [0, 0], [0, 1],
+                                                [x] * 2), ones), [2]),
+            (3037000498, lambda x: gm.ewise_mult(
+                sr.mul, sr.zero, *[m((1, 1), [0], [0], [x])] * 2), None),
+            (2**62 - 2, lambda x: gm.ewise_add(
+                sr.add, sr.zero, *[m((1, 1), [0], [0], [x])] * 2), [2]),
+            (2**62 - 2, lambda x: m((1, 1), [0, 0], [0, 0], [x, x]), [2]),
+        ]
+        for top, run, times in cases:
+            for x, dtype in ((top, INT64), (top + 1, OBJECT)):
+                calls.clear()
+                got = run(x)
+                # the kernel's own call is the last, after its operands'
+                assert calls[-1] == dtype
+                assert all(c == INT64 for c in calls[:-1])
+                assert [(type(v), v) for v in got.values.tolist()] == [
+                    (int, x * x if times is None else k * x)
+                    for k in times or [1]]
+
+    def test_a_matrix_keeps_its_words(self, monkeypatch):
+        # a hop converts the frontier's values, and b's only once
+        converted, real = [], matrix._words
+
+        def spy(v):
+            if isinstance(v, np.ndarray):
+                converted.append(len(v))
+            return real(v)
+
+        monkeypatch.setattr(matrix, "_words", spy)
+        b = gm.build(NAT, (3, 3), ([0, 0, 1, 2], [1, 2, 2, 0], [5, 6, 7, 8]))
+        f = gm.build(NAT, (1, 3), ([0, 0], [0, 1], [2, 3]))
+        for want in ([2, 4], [2]):
+            converted.clear()
+            assert gm.vxm(NAT, f, b).values.tolist() == [10, 12 + 21]
+            assert converted == want
+        assert b._w[0].tolist() == [5, 6, 7, 8] and b._w[1] == 8
+
+    def test_overflow_raises_on_either_path(self):
+        # (2**32 - 1)**2 is a 64-bit natural, 2**32 * 2**32 is not
+        for x in (2**32 - 1, 2**32):
+            a = gm.build(NAT, (2, 2), ([0, 1], [1, 0], [x, x]))
+            for product in (lambda: gm.mxm(NAT, a, a),
+                            lambda: gm.ewise_mult(NAT.mul, 0, a, a)):
+                if x * x < 2**64:
+                    assert product().values.tolist() == [x * x, x * x]
+                else:
+                    with pytest.raises(DomainError,
+                                       match="is not a 64-bit natural"):
+                        product()
+        big = gm.build(NAT, (1, 1), ([0], [0], [2**63]))
+        with pytest.raises(DomainError, match="is not a 64-bit natural"):
+            gm.ewise_add(NAT.add, 0, big, big)
+        # 2**32 * 2**31 leaves int64 by one, below the bound or not
+        for x, y in ((2**32, 2**31), (2**32, 2**31 - 1)):
+            a = gm.build(self.INT, (1, 1), ([0], [0], [x]))
+            b = gm.build(self.INT, (1, 1), ([0], [0], [y]))
+            if x * y < 2**63:
+                assert gm.ewise_mult(OP_TIMES, 0, a, b).get(0, 0) == x * y
+            else:
+                with pytest.raises(DomainError):
+                    gm.ewise_mult(OP_TIMES, 0, a, b)
+
+    @pytest.mark.parametrize("name", ["natural", "integer"])
+    @pytest.mark.parametrize("python", ["add", "mul"])
+    def test_python_ops_stay_on_objects(self, name, python, monkeypatch):
+        sr = self.SEMIRINGS[name][0]
+        py = replace(sr, **{python: gm.BinaryOp(
+            getattr(sr, python).name, getattr(sr, python).fn)})
+        a = gm.build(sr, (2, 2), ([0, 0, 1], [0, 1, 1], [3, 4, 5]))
+        f = gm.build(sr, (1, 2), ([0, 0], [0, 1], [1, 2]))
+        want = gm.mxm(sr, a, a), gm.vxm(sr, f, a)
+        calls = spy_wide(monkeypatch)
+        assert (gm.mxm(py, a, a), gm.vxm(py, f, a)) == want
+        assert calls == [OBJECT] * 2
+        for op in (py.add, py.mul):
+            if op.ufunc.types == ["OO->O"]:
+                calls.clear()
+                gm.ewise_mult(op, 0, a, a)
+                gm.ewise_add(op, 0, a, a)
+                assert calls == [OBJECT] * 2
+
+
 class TestEwise:
     def test_add_identity_with_empty(self, rng):
         a = random_matrix(ARITH, rng, 6, 4)
@@ -1210,10 +1403,10 @@ class TestChunkedFold:
         sizes = []
         real = kernels._accumulate
 
-        def spy(sr, nslots, chunks, keep=None):
+        def spy(sr, dtype, nslots, chunks, keep=None):
             chunks = list(chunks)
             sizes.append([len(slots) for slots, _ in chunks])
-            return real(sr, nslots, chunks, keep)
+            return real(sr, dtype, nslots, chunks, keep)
 
         monkeypatch.setattr(kernels, "_accumulate", spy)
         return sizes
