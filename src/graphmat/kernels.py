@@ -307,9 +307,15 @@ def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix, mask=None,
 
 
 def _mxv(sr, a, v, mask=None, complement=False):
-    mul = BinaryOp(sr.mul.name, lambda x, y: sr.mul.fn(y, x),
-                   lambda x, y: sr.mul.ufunc(y, x), commutative=False)
-    rows, vals = _pull(replace(sr, mul=mul), np.flatnonzero(np.diff(
+    # `_pull` puts v's values on mul's left: swap them back unless mul is
+    # np.add or np.multiply, which commute bit for bit, so `_wide` sees it
+    # (not np.minimum or np.maximum, on 0.0 and -0.0; nor `commutative`)
+    mul = sr.mul
+    if mul.ufunc not in (np.add, np.multiply):
+        sr = replace(sr, mul=BinaryOp(mul.name, lambda x, y: mul.fn(y, x),
+                                      lambda x, y: mul.ufunc(y, x),
+                                      commutative=False))
+    rows, vals = _pull(sr, np.flatnonzero(np.diff(
         v.indptr)), v.values, a, _keep(mask, complement, 0, a.nrows, 1))
     return _csr(a.nrows, 1, rows, vals, sr.domain)  # one column: keys = rows
 

@@ -1,8 +1,11 @@
+import heapq
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphmat as gm
 from graphmat import bench, fileio, graph, kernels
@@ -49,6 +52,40 @@ def grid(side):
     rows, cols = np.concatenate([r, c]), np.concatenate([c, r])
     return gm.build(MINPLUS, (side * side,) * 2,
                     (rows, cols, (rows + cols) % 9 + 1.0))
+
+
+# ties, zero weights and weights near 1e-9 next to ordinary ones
+WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e-9, 2e-9, 3e-9]),
+                    st.floats(0.0, 100.0))
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """(a min-plus digraph of 1-24 vertices with WEIGHTS, a source); sparse
+    enough that some vertices are unreachable, repeats folded by min."""
+    n = draw(st.integers(1, 24))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, WEIGHTS), max_size=3 * n))
+    rows, cols, vals = zip(*edges) if edges else ((), (), ())
+    return gm.build(MINPLUS, (n, n), (rows, cols, vals)), draw(vertex)
+
+
+def heap_dijkstra(a, source):
+    """Dijkstra over a's CSR arrays with a binary heap: the distances as
+    floats, each the smallest left-to-right sum over paths."""
+    dist = [math.inf] * a.nrows
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for k in range(a.indptr[u], a.indptr[u + 1]):
+            v, w = int(a.indices[k]), float(a.values[k])
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
 
 
 def parents_oracle(d, levels):
@@ -403,6 +440,76 @@ class TestSssp:
             for u, v, w in gm.extract_tuples(a):
                 assert dist[v] <= dist[u] + w + 1e-12
 
+    @pytest.mark.parametrize("budget", ["default", "one product"])
+    def test_equals_dijkstra_exactly(self, budget, monkeypatch):
+        # any order of relaxations reaches the same floats: capped rounds
+        # relax the nearest pending vertex first, one at a time if the
+        # budget is one product
+        if budget == "one product":
+            monkeypatch.setattr(graph, "_ROUND_SHARE", 2**62)
+            monkeypatch.setattr(graph, "_VXM_CHUNK_PRODUCTS", 1)
+
+        @settings(max_examples=200, deadline=None)
+        @given(case=weighted_digraphs())
+        def check(case):
+            a, source = case
+            assert gm.sssp_minplus(a, source) == oracle.dense_sssp(
+                oracle.densify(a, math.inf), source, math.inf)
+
+        check()
+
+    @staticmethod
+    def _relaxed(monkeypatch, a, source):
+        """(distances, the out-edges relaxed in each `_vxm` round)."""
+        degree, rounds, vxm = np.diff(a.indptr), [], graph._vxm
+        monkeypatch.setattr(graph, "_vxm", lambda sr, ids, *rest: (
+            rounds.append(int(degree[ids].sum())) or vxm(sr, ids, *rest)))
+        return gm.sssp_minplus(a, source), rounds
+
+    def test_rmat_relaxes_each_edge_about_once(self, monkeypatch):
+        # bench.rmat_graph(MINPLUS, 12, 16, 1) with one weight 1-255 per
+        # generated edge, both ways. Relaxing every pending vertex each
+        # round relaxed 2.34 x nnz(A) edges; the nearest first, a quarter
+        # of nnz(A) a round at most, 1.21 x in as many rounds
+        rows, cols = bench.rmat_edge_arrays(12, 16, 1)
+        w = np.random.default_rng(1).integers(1, 256, len(rows) // 2) * 1.0
+        a = gm.build(MINPLUS, (4096, 4096), (rows, cols, np.tile(w, 2)))
+        pattern = bench.rmat_graph(MINPLUS, 12, 16, 1)
+        assert np.array_equal(a.indptr, pattern.indptr)
+        assert np.array_equal(a.indices, pattern.indices)
+        hub = int(np.argmax(np.diff(a.indptr)))
+        dist, rounds = self._relaxed(monkeypatch, a, hub)
+        assert dist == heap_dijkstra(a, hub)
+        assert max(rounds) <= a.nnz // 4 < sum(rounds) <= 1.6 * a.nnz
+        assert len(rounds) <= sum(d < math.inf for d in dist)
+
+    def test_star_hub_above_the_budget(self, monkeypatch):
+        # the hub's 20,000 out-edges pass the budget of 10,000 alone, so it
+        # is relaxed alone; then its leaves, nearest first, in two rounds
+        leaves = np.arange(1, 20_001)
+        w = (leaves * 7919 % 1000) * 0.5
+        a = gm.build(MINPLUS, (20_001, 20_001), (
+            np.concatenate([leaves * 0, leaves]),
+            np.concatenate([leaves, leaves * 0]), np.concatenate([w, w])))
+        dist, rounds = self._relaxed(monkeypatch, a, 0)
+        assert dist == [0.0, *w.tolist()]
+        assert rounds == [20_000, 10_000, 10_000]
+
+    def test_small_and_degenerate_graphs(self):
+        one = gm.build(MINPLUS, (1, 1), ([], [], []))
+        assert gm.sssp_minplus(one, 0) == [0.0]
+        loop = gm.build(MINPLUS, (1, 1), ([0], [0], [0.0]))
+        assert gm.sssp_minplus(loop, 0) == [0.0]
+        empty = gm.build(MINPLUS, (4, 4), ([], [], []))
+        assert gm.sssp_minplus(empty, 2) == [math.inf, math.inf, 0.0,
+                                             math.inf]
+        # vertex 3 has no edges at all; 0 -> 1 -> 2 -> 0 weighs nothing
+        a = gm.build(MINPLUS, (5, 5), ([0, 1, 2, 2, 4], [1, 2, 0, 4, 0],
+                                       [0.0, 0.0, 0.0, 2.5, 1.0]))
+        assert gm.sssp_minplus(a, 3) == [math.inf] * 3 + [0.0, math.inf]
+        assert gm.sssp_minplus(a, 1) == [0.0, 0.0, 0.0, math.inf, 2.5]
+        assert gm.sssp_minplus(a, 4) == [1.0, 1.0, 1.0, math.inf, 0.0]
+
     @pytest.mark.parametrize("source", [1.5, math.nan, -1, 2, "1", [0]])
     def test_source_outside_or_not_integer(self, source):
         a = gm.build(MINPLUS, (2, 2), ([0], [1], [3.5]))
@@ -464,6 +571,9 @@ class TestHopsOnArrays:
             monkeypatch, lambda: gm.sssp_minplus(a, 0)) for a in grids]
         assert rounds_small < rounds_large
         assert small == large
+        # a grid's pending out-edges never reach the round budget, so it
+        # takes the rounds of relaxing every pending vertex each time
+        assert rounds_large == 95
 
 
 class TestUnionIntersection:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import graphmat as gm
 from graphmat import kernels, matrix
-from graphmat.algebra import (INTEGER, OP_INTERSECT, OP_PLUS, OP_TIMES,
-                              set_domain)
+from graphmat.algebra import (INTEGER, OP_INTERSECT, OP_MAX, OP_MIN,
+                              OP_PLUS, OP_TIMES, set_domain)
 from graphmat.errors import (
     DimensionError,
     DomainError,
@@ -444,6 +444,56 @@ class TestMxv:
         assert got.indptr.tolist() == [0, 0, 1, 1]
         assert got.values.tolist() == [2.0]
         assert products == [1]
+
+    @pytest.mark.parametrize("name", ["natural", "integer"])
+    def test_words_reach_the_fold(self, name, monkeypatch):
+        # np.multiply commutes bit for bit, so mxv hands `_pull` mul
+        # itself, not an operand-swapped lambda that `_wide` cannot see:
+        # below the bound the products reach ufunc.at as int64 words, with
+        # the object path's results
+        sr = TestWordPath.SEMIRINGS[name][0]
+        folded, real = [], kernels._accumulate
+
+        def spy(sr, dtype, nslots, chunks, keep=None):
+            def seen():
+                for slots, prod in chunks:
+                    folded.append(prod.dtype)
+                    yield slots, prod
+            return real(sr, dtype, nslots, seen(), keep)
+
+        monkeypatch.setattr(kernels, "_accumulate", spy)
+        a = gm.build(sr, (3, 3), ([0, 0, 1, 2], [0, 2, 1, 0],
+                                  [3, 4, 5, 2**20]))
+        v = gm.build(sr, (3, 1), ([0, 1, 2], [0, 0, 0], [7, 2**30, 9]))
+        got = outcome(lambda: gm.mxv(sr, a, v))
+        assert folded == [INT64]
+        assert got[-1] == [(int, 3 * 7 + 4 * 9), (int, 5 * 2**30),
+                           (int, 2**20 * 7)]
+        folded.clear()
+        monkeypatch.setattr(matrix, "_WORD_OPS", ())
+        assert outcome(lambda: gm.mxv(sr, a, v)) == got
+        assert folded == [OBJECT]
+
+    def test_mul_keeps_its_operand_order(self):
+        # w(i) folds mul(a(i, k), v(k)): a user's op keeps the default
+        # commutative=True, which mxv does not read, and np.minimum
+        # returns an operand by its position on -0.0 and 0.0
+        minus = gm.BinaryOp("minus", operator.sub, np.subtract)
+        sr = gm.make_semiring("plus-minus", ARITH.domain, ARITH.add, minus,
+                              0.0, 0.0)
+        a = gm.build(sr, (2, 2), ([0, 0, 1], [0, 1, 1], [5.0, 2.0, 7.0]))
+        v = gm.build(sr, (2, 1), ([0, 1], [0, 0], [1.5, 4.0]))
+        got = gm.mxv(sr, a, v)
+        assert got.values.tolist() == [(5.0 - 1.5) + (2.0 - 4.0), 7.0 - 4.0]
+        assert_matches_dense(got, oracle.dense_mxm(
+            sr, oracle.densify(a, 0.0), oracle.densify(v, 0.0)), 0.0)
+        sr = gm.make_semiring("max-min", ARITH.domain, OP_MAX, OP_MIN,
+                              -math.inf, math.inf)
+        a = gm.build(sr, (1, 1), ([0], [0], [-0.0]))
+        v = gm.build(sr, (1, 1), ([0], [0], [0.0]))
+        want = np.minimum(np.array([-0.0]), np.array([0.0]))[0]
+        assert want == 0.0 and math.copysign(1.0, want) == 1.0
+        assert math.copysign(1.0, gm.mxv(sr, a, v).get(0, 0)) == 1.0
 
     def test_mask_checks(self, rng):
         a = random_matrix(ARITH, rng, 4, 5)
