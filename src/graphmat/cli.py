@@ -11,6 +11,8 @@ import functools
 import math
 import sys
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import fileio, graph, kernels
 from .algebra import semiring_by_name
@@ -108,10 +110,11 @@ def cmd_bfs(args):
     if not sources:
         raise GraphMatError("--source names no vertex")
     result = graph.bfs_levels(a, sources, max_hops=args.max_hops)
-    sys.stdout.write("".join(["vertex\tlevel\tparent\n"] + [
-        f"{v + shift}\t{'-' if lvl is None else lvl}\t"
-        f"{'-' if par is None else par + shift}\n"
-        for v, (lvl, par) in enumerate(zip(result.levels, result.parents))]))
+    # None, for a vertex not reached, reads as nan and is written "-"
+    level, parent = (np.array(x, dtype=float)
+                     for x in (result.levels, result.parents))
+    sys.stdout.write("vertex\tlevel\tparent\n" + fileio._digit_lines(
+        (np.arange(len(level)) + shift, level, parent + shift), "\t"))
 
 
 def cmd_sssp(args):
@@ -119,11 +122,15 @@ def cmd_sssp(args):
     # an edge without a weight is one hop, not min-plus's one (0.0)
     a = _load_matrix(args.input, args, sr, weight=1.0)
     source = _index(args.source, args.one_based)
-    dist = graph.sssp_minplus(a, source)
+    dist = np.array(graph.sssp_minplus(a, source), dtype=float)
     shift = 1 if args.one_based else 0
-    sys.stdout.write("".join(["vertex\tdistance\n"] + [
-        f"{v + shift}\t{'-' if math.isinf(d) else repr(d)}\n"
-        for v, d in enumerate(dist)]))
+    # inf, for a vertex not reached, is written "-"
+    digits = sr.domain.digits(dist[dist < math.inf])
+    sys.stdout.write("vertex\tdistance\n" + (fileio._digit_lines(
+        (np.arange(len(dist)) + shift, dist), "\t", digits[1])
+        if digits is not None else "".join([
+            f"{v + shift}\t{'-' if math.isinf(d) else repr(d)}\n"
+            for v, d in enumerate(dist.tolist())])))
 
 
 def cmd_adjacency(args):

@@ -3,9 +3,10 @@
 TSV edge lists are 0-based by default (a flag shifts them); Matrix
 Market coordinate files are 1-based on disk, as the format requires.
 Files are UTF-8 text. Files of lines of one width (comma groups and
-labeled lines of digits included) are parsed a column at a time, any
-other by the line parser, whose errors give file and line. Entries
-whose values render as digits are written from one byte buffer.
+labeled lines of digits included) are parsed a column at a time, bodies
+of digits by Horner's rule a digit place at a time, any other file by
+the line parser, whose errors give file and line. Entries, and the CLI's
+tables, whose values render as digits are written from one byte buffer.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def _text(path):
         raise FormatError(f"not UTF-8 text ({exc.reason})", path) from None
 
 
+_PARSE_LINES = 1 << 11  # lines parsed at once; keeps the temporaries small
+
 # a labeled line in the one form the column path reads as plain: label
 # (not a `#` comment's first word), out- and in-group, weight, each
 # token as the line parser splits it; an out-group never opens with `#`,
@@ -111,7 +114,7 @@ def _plain_columns(text, sep, widths, shift, parse, default, edge_list=False):
             or grouped and (field[buf[ends] == ord(",")] > 1).any()):
         raise ValueError("lines of unequal or other widths, or a group weight")
     at = [field == f if grouped else slice(f, None, w) for f in range(w)]
-    table = _digit_table(raw, buf, ends, last, parse is float and w == 3)
+    table = _digit_table(buf, ends, last, parse is float and w == 3)
     if table is not None and (parse in _EXACT or w == 2):
         cols = [table[k] for k in at]
         vals = cols[2].astype(_EXACT[parse]) if w == 3 else []
@@ -153,27 +156,41 @@ def _drop_skipped(raw, buf, newlines):
     return b"".join(raw[i:j] for i, j in zip(bounds[::2], bounds[1::2]))
 
 
-def _digit_table(raw, buf, ends, last, point_zero=False):
-    """The int64 tokens, parsed in one call, of a body of _layout
-    (raw, buf, ends, last) whose every token is ASCII digits below
-    10**18; None for any other. With `point_zero`, every line's last
-    token may end in `.0`, if all do, read without it. np.fromstring
-    alone would read a 20-digit field as 2**63 - 1, and take a
-    trailing separator and any whitespace."""
-    dots = ends[last] - 2 if point_zero else last[:0]
-    if not ((buf[dots] == ord(".")) & (buf[dots + 1] == ord("0"))).all():
-        dots = last[:0]
-    if len(dots):
-        blank = buf.copy()
-        blank[dots] = blank[dots + 1] = ord(" ")
-        raw = blank.tobytes()
-    if (np.count_nonzero(buf - ord("0") < 10) + len(ends) + len(dots)
-            != len(buf)):
-        return None
-    table = np.fromstring(raw.replace(b",", b" "), dtype=np.int64, sep=" ")
-    # an empty token shortens the table, a 19-digit one may not fit
-    fits = len(table) == len(ends) and table.max(initial=0) < 10**18
-    return table if fits else None
+def _digit_table(buf, ends, last, point_zero=False):
+    """The tokens of a body of _layout (buf, ends, last) whose every
+    token is 1 to 18 ASCII digits, parsed by Horner's rule a digit place
+    at a time, a chunk of lines at once: int32 while no token has more
+    than 9 digits, int64 up to 18. None for any other body. With
+    `point_zero`, every line's last token may end in `.0`, if all do,
+    read without it: the token ends two bytes early."""
+    dots = bool(point_zero and buf[ends[last[0]] - 2] == ord(".") and (
+        (buf[ends[last] - 2] == ord(".")) & (buf[ends[last] - 1] == ord("0"))
+    ).all())  # a first line without it settles the question at once
+    parts, t0, b0 = [], 0, 0
+    for lo in range(0, len(last), _PARSE_LINES):
+        newlines = last[lo:lo + _PARSE_LINES]
+        t1, b1 = int(newlines[-1]) + 1, int(ends[newlines[-1]]) + 1
+        digit = buf[b0:b1] - np.uint8(ord("0"))
+        ok = digit < 10
+        if np.count_nonzero(ok) + t1 - t0 + dots * len(newlines) != b1 - b0:
+            return None
+        digit *= ok
+        stop = ends[t0:t1] - b0
+        # a place left of a token reads the byte ending the one before: 0
+        before = np.concatenate(([-1], stop[:-1]))  # -1: the last newline
+        stop[newlines - t0] -= 2 * dots
+        pos = stop - before
+        width = int(pos.max()) - 1
+        if width > 18 or pos.min() < 2:  # a token of 19 digits, or none
+            return None
+        table = np.zeros(t1 - t0, dtype=np.int32 if width <= 9 else np.int64)
+        for place in range(width, 0, -1):
+            np.maximum(np.subtract(stop, place, out=pos), before, out=pos)
+            table *= 10
+            table += digit[pos]
+        parts.append(table)
+        t0, b0 = t1, b1
+    return np.concatenate(parts)  # int64 if any chunk is
 
 
 def _parse_vertex_group(text, path, lineno, shift):
@@ -342,23 +359,26 @@ def _write_entries(fh, a: SparseMatrix, sep, shift, values=True):
         part = slice(lo, lo + _WRITE_CHUNK)
         rows, cols = tri.rows[part] + shift, tri.cols[part] + shift
         if not values:
-            fh.write(_digit_lines((rows, cols), sep, "\n"))
+            fh.write(_digit_lines((rows, cols), sep))
         elif (digits := a.domain.digits(tri.vals[part])) is not None:
-            ints, suffix = digits
-            fh.write(_digit_lines((rows, cols, ints), sep, suffix + "\n"))
+            fh.write(_digit_lines((rows, cols, digits[0]), sep, digits[1]))
         else:
             vals = map(a.domain.render, tri.vals[part].tolist())
             fh.write("".join([f"{r}{sep}{c}{sep}{v}\n" for r, c, v
                               in zip(rows.tolist(), cols.tolist(), vals)]))
 
 
-def _digit_lines(columns, sep, end):
-    """Lines of the int columns joined by `sep`, each ending in `end`,
-    as text laid out in one byte buffer: each field a block of rows of
-    digits, right-aligned after 0 bytes, which are then dropped."""
+def _digit_lines(columns, sep, suffix=""):
+    """Lines of the integral columns joined by `sep`, the last column's
+    fields followed by `suffix`, as text laid out in one byte buffer:
+    each field a block of rows of digits, right-aligned after 0 bytes,
+    which are then dropped. A float column marks a missing field by nan
+    or inf, written `-` with no suffix."""
     n = len(columns[0])
     blocks = []
     for x in columns:
+        gone = ~np.isfinite(x) if x.dtype.kind == "f" else np.zeros(n, bool)
+        x = np.where(gone, 0, x)
         neg = x < 0
         mag = np.abs(x).astype(np.uint64)  # int64's minimum wraps to 2**63
         width = len(str(int(mag.max(initial=0))))
@@ -368,10 +388,12 @@ def _digit_lines(columns, sep, end):
         q8 = q.astype(np.uint8)  # a digit is its row less 10x the one above
         digits = q8[1:] - np.uint8(10) * q8[:-1] + np.uint8(ord("0"))
         digits[:-1] *= q[1:-1] > 0  # no leading zeros
+        digits[-1, gone] = ord("-")  # a missing field's value is 0
         if neg.any():
             blocks.append(neg[None] * np.uint8(ord("-")))
         blocks += [digits, np.full((1, n), ord(sep), dtype=np.uint8)]
-    blocks[-1] = np.frombuffer(end.encode(), np.uint8)[:, None].repeat(n, 1)
+    blocks[-1:] = [np.frombuffer(suffix.encode(), np.uint8)[:, None] * ~gone,
+                   np.full((1, n), ord("\n"), dtype=np.uint8)]
     return np.vstack(blocks).T.tobytes().replace(b"\0", b"").decode()
 
 

@@ -177,15 +177,16 @@ def _unset_to_none(arr):
 def sssp_minplus(a: SparseMatrix, source) -> list:
     """Single-source shortest paths over min-plus.
 
-    Relaxation d <- min(d, d A) over the pending vertices: those whose
-    distance changed and whose out-edges were not yet relaxed at it. A
-    round relaxes them all if their out-edges fit a budget, else the
-    nearest first up to it, and the rest wait (near before far, as in
-    delta-stepping: Sridhar et al., IPDPSW'19). The nearest pending
-    distance is final, so each round settles a vertex: at most as many
-    rounds as reachable vertices. Float addition is monotone, so every
-    order gives the same distances, bit for bit. Weights must be
-    non-negative; the implicit zero is +inf.
+    Relaxation d<min>= d A, folded into d in place by `_vxm`, over the
+    pending vertices: those whose distance changed and whose out-edges
+    were not yet relaxed at it. A round relaxes them all if their
+    out-edges fit a budget, else the nearest first up to it, and the
+    rest wait (near before far, as in delta-stepping: Sridhar et al.,
+    IPDPSW'19). The nearest pending distance is final, so each round
+    settles a vertex: at most as many rounds as reachable vertices.
+    Float addition is monotone, so every order gives the same
+    distances, bit for bit. Weights must be non-negative; the implicit
+    zero is +inf.
     """
     if a.nrows != a.ncols:
         raise DimensionError("SSSP needs a square adjacency matrix",
@@ -208,10 +209,7 @@ def sssp_minplus(a: SparseMatrix, source) -> list:
             near = pending[dist[pending].argsort()]  # nearest first
             k = max(1, int((degree[near].cumsum() <= budget).sum()))
             pending, waiting = np.sort(near[:k]), near[k:]
-        cols, vals = _vxm(_MINPLUS, pending, dist[pending], a)
-        better = vals < dist[cols]
-        pending = cols[better]
-        dist[pending] = vals[better]
+        pending = _vxm(_MINPLUS, pending, dist[pending], a, into=dist)[0]
         if len(waiting):  # merged as one ascending set
             merged = np.zeros(n, dtype=bool)
             merged[waiting] = merged[pending] = True

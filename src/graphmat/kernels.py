@@ -5,8 +5,9 @@ private ``_``-prefixed implementation. The benchmark harness times both
 layers to measure the overhead the public surface adds on top of the
 raw kernels.
 
-All kernels are pure: inputs are never mutated and outputs never store
-a value equal to the semiring's 0-element.
+All kernels are pure: inputs are never mutated (but the `into` array
+that a traversal's `_vxm` folds into) and outputs never store a value
+equal to the semiring's 0-element.
 """
 
 from __future__ import annotations
@@ -175,10 +176,15 @@ def _sort_fold(sr, b, y, pos, rows, x, counts, r0, r1, mask, complement):
     return _fold(keys, prod[order], b.ncols, sr.add, sr.zero, sr.domain)
 
 
-def _vxm(sr, ids, x, b, mask=None, complement=False):
+def _vxm(sr, ids, x, b, mask=None, complement=False, into=None):
     """vxm on arrays and unchecked, for traversal hops: the row storing
     x at the ascending ids, times b, as (columns, values). Masked, it
-    pulls over b's cached transpose when that reads fewer entries."""
+    pulls over b's cached transpose when that reads fewer entries. With
+    `into` a w of b.ncols slots, unmasked under add np.minimum, w<min>=
+    x b in place: (the columns lowered, ascending, their values)."""
+    if into is not None and (sr.add.ufunc is not np.minimum
+                             or mask is not None):
+        raise ValueError("only an unmasked min product folds into w")
     starts = b.indptr[ids]
     counts = b.indptr[1:][ids] - starts  # products per entry of the row
     total, ncols = int(counts.sum()), b.ncols
@@ -195,14 +201,45 @@ def _vxm(sr, ids, x, b, mask=None, complement=False):
             return _pull(sr, ids, x, b._transposed(), keep)
     x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero, len(ids),
                  x, b)
-    if not dense:
+    if not dense and into is None:
         return _sort_fold(sr, b, y, _ranges(starts, counts), np.zeros(
             len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)
     # positions in one go when one chunk holds them all
     parts = (_chunks(starts, counts) if total > _VXM_CHUNK_PRODUCTS
              else [(0, len(ids), _ranges(starts, counts))])
-    return _accumulate(sr, x.dtype, ncols, ((b.indices[p], sr.mul.ufunc(
-        x[lo:hi].repeat(counts[lo:hi]), y[p])) for lo, hi, p in parts), keep)
+    chunks = ((b.indices[p], sr.mul.ufunc(x[lo:hi].repeat(counts[lo:hi]),
+                                          y[p])) for lo, hi, p in parts)
+    if into is None:
+        return _accumulate(sr, x.dtype, ncols, chunks, keep)
+    return _lower(into, chunks, total, sr.domain)
+
+
+def _lower(w, chunks, products, domain):
+    """w<min>= the (slots, products) chunks, in place: (the slots lowered,
+    ascending, their values). With as many products as slots, or few
+    slots, every product folds and every slot is compared after; else
+    only the products that lower their slot fold, and the slots lowered
+    are deduplicated through a bitmap or, few against len(w), by sort."""
+    if len(w) <= max(products, _VXM_CHUNK_PRODUCTS):
+        before = w.copy()
+        for slots, prod in chunks:
+            np.minimum.at(w, slots, prod)
+        slots = (w < before).nonzero()[0]
+        return slots, _narrow(w[slots], domain)
+    lowered = []
+    for slots, prod in chunks:
+        low = (prod < w[slots]).nonzero()[0]  # faster than a bool index
+        np.minimum.at(w, slots[low], prod[low])
+        lowered.append(slots[low])
+    slots = np.concatenate(lowered)
+    if _dense(len(w), 8 * len(slots)):  # a bitmap slot costs 1/30 of a sort
+        hit = np.zeros(len(w), dtype=bool)
+        hit[slots] = True
+        slots = hit.nonzero()[0]
+    else:  # np.unique's hash table costs about 1 ms
+        slots.sort()
+        slots = slots[np.diff(slots, prepend=-1) != 0]
+    return slots, _narrow(w[slots], domain)
 
 
 def _pull(sr, ids, x, bt, keep):

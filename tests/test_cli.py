@@ -1,4 +1,5 @@
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import graphmat as gm
+from graphmat import fileio
 from graphmat.cli import _load_matrix, _make_parser, main
 
 from conftest import DATA_DIR
@@ -318,6 +320,75 @@ class TestTables:
         assert capsys.readouterr().out == (
             f"vertex\tdistance\n{s}\t0.0\n{1 + s}\t0.1\n"
             f"{2 + s}\t-\n{3 + s}\t0.30000000000000004\n")
+
+
+    # what bfs and sssp wrote line by line before their tables came from
+    # one byte buffer
+    @staticmethod
+    def line_by_line_bfs(result, shift):
+        return "".join(["vertex\tlevel\tparent\n"] + [
+            f"{v + shift}\t{'-' if lvl is None else lvl}\t"
+            f"{'-' if par is None else par + shift}\n"
+            for v, (lvl, par) in enumerate(zip(result.levels,
+                                               result.parents))])
+
+    @staticmethod
+    def line_by_line_sssp(dist, shift):
+        return "".join(["vertex\tdistance\n"] + [
+            f"{v + shift}\t{'-' if math.isinf(d) else repr(d)}\n"
+            for v, d in enumerate(dist)])
+
+    @pytest.mark.parametrize("one_based", [False, True])
+    @pytest.mark.parametrize("flags, sources", [
+        ([], [0]), (["--max-hops", "1"], [0]), ([], [0, 5]),
+        ([], [11]), (["--max-hops", "1"], [3, 9])])
+    def test_bfs_bytes_equal_line_by_line(self, tmp_path, capsys, one_based,
+                                          flags, sources):
+        # 0..7 a ring with a chord, 8..10 a path reached from 9 only, 11
+        # isolated but for its self-loop, 12 never named: reached, not
+        # reached and parentless vertices, levels and ids of two digits
+        s = int(one_based)
+        edges = [(k, (k + 1) % 8) for k in range(8)] + [
+            (2, 6), (9, 8), (8, 10), (11, 11), (10, 13)]
+        p = tmp_path / "g.tsv"
+        p.write_text("".join(f"{u + s}\t{v + s}\n" for u, v in edges))
+        args = argparse.Namespace(format="tsv", one_based=one_based,
+                                  vertices=None)
+        a = _load_matrix(str(p), args, gm.semiring_by_name("arith-real"))
+        hops = int(flags[1]) if flags else None
+        want = self.line_by_line_bfs(gm.bfs_levels(a, sources, hops), s)
+        argv = ["bfs", str(p), "--source", ",".join(str(v + s)
+                                                    for v in sources)]
+        assert main(argv + flags + ["--one-based"] * one_based) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("one_based", [False, True])
+    @pytest.mark.parametrize("weights", [
+        [3, 250, 7, 1, 40], [1e16, 2.0, 3e16, 1.0, 5.0],
+        [0.5, 2.0, 0.25, 7.0, 1.0], [9007199254740993.0, 1.0, 1.0, 1.0, 1.0]],
+        ids=["digits", "1e16 and up", "non-integral", "2**53 + 1"])
+    def test_sssp_bytes_equal_line_by_line(self, tmp_path, capsys, one_based,
+                                           weights, monkeypatch):
+        # from vertex 0 the middle two weight sets reach distances that
+        # repr writes with an exponent or a fraction: those tables take
+        # the line writer; from 3 and 6 every table takes the buffer
+        buffered, real = [], fileio._digit_lines
+        monkeypatch.setattr(fileio, "_digit_lines", lambda *a: (
+            buffered.append(1) or real(*a)))
+        s = int(one_based)
+        edges = [(0, 1), (1, 2), (0, 3), (3, 2), (2, 4)]
+        p = tmp_path / "g.tsv"
+        p.write_text("".join(f"{u + s}\t{v + s}\t{w!r}\n" for (u, v), w
+                             in zip(edges, weights)) + f"{5 + s}\t{6 + s}\n")
+        args = argparse.Namespace(format="tsv", one_based=one_based,
+                                  vertices=None)
+        a = _load_matrix(str(p), args, gm.semiring_by_name("min-plus"), 1.0)
+        for source in (0, 3, 6):
+            want = self.line_by_line_sssp(gm.sssp_minplus(a, source), s)
+            argv = ["sssp", str(p), "--source", str(source + s)]
+            assert main(argv + ["--one-based"] * one_based) == 0
+            assert capsys.readouterr().out == want
+        assert len(buffered) == (2 if weights[0] in (1e16, 0.5) else 3)
 
 
 class TestSssp:

@@ -459,11 +459,73 @@ class TestSssp:
         check()
 
     @staticmethod
+    def _weighted_grid(side):
+        """A side x side grid with one weight 1-255 per undirected edge."""
+        v = np.arange(side * side).reshape(side, side)
+        r = np.concatenate([v[:, :-1].ravel(), v[:-1, :].ravel()])
+        c = np.concatenate([v[:, 1:].ravel(), v[1:, :].ravel()])
+        w = np.random.default_rng(side).integers(1, 256, len(r)) * 1.0
+        return gm.build(MINPLUS, (side * side,) * 2, (
+            np.concatenate([r, c]), np.concatenate([c, r]), np.tile(w, 2)))
+
+    # as built, a round folds into d through the whole-row compare on
+    # graphs of at most 8,192 vertices and the filtered fold above; with
+    # the thresholds lowered, 48^2 and 128^2 also take the filtered fold
+    # in chunks of 64 products, deduplicated by bitmap or by sort
+    @pytest.mark.parametrize("thresholds", ["as built", "lowered"])
+    @pytest.mark.parametrize("side", [8, 48, 128])
+    def test_weighted_grids_equal_heap_dijkstra(self, side, thresholds,
+                                                monkeypatch):
+        if thresholds == "lowered":
+            monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 64)
+            monkeypatch.setattr(kernels, "_DENSE_MIN_SLOTS", 64)
+        a = self._weighted_grid(side)
+        for source in (0, side * side // 2 + side // 3):
+            assert gm.sssp_minplus(a, source) == heap_dijkstra(a, source)
+
+    def test_rmat_equals_heap_dijkstra(self):
+        rows, cols = bench.rmat_edge_arrays(10, 16, 1)
+        w = np.random.default_rng(10).integers(1, 256, len(rows) // 2) * 1.0
+        a = gm.build(MINPLUS, (1024, 1024), (rows, cols, np.tile(w, 2)))
+        degree = np.diff(a.indptr)
+        for source in (int(np.argmax(degree)), int(np.argmin(degree)), 7):
+            assert gm.sssp_minplus(a, source) == heap_dijkstra(a, source)
+
+    def test_rounds_fold_into_the_distances(self, monkeypatch):
+        # no round builds a fresh accumulator or sorts its products
+        def refused(*args):
+            raise AssertionError("a fresh fold in an SSSP round")
+
+        monkeypatch.setattr(kernels, "_accumulate", refused)
+        monkeypatch.setattr(kernels, "_sort_fold", refused)
+        rows, cols = bench.rmat_edge_arrays(10, 16, 1)
+        rmat = gm.build(MINPLUS, (1024, 1024), (rows, cols,
+                                                np.ones(len(rows))))
+        for a in (self._weighted_grid(48), self._weighted_grid(128), rmat):
+            gm.sssp_minplus(a, 0)
+        monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 64)
+        monkeypatch.setattr(kernels, "_DENSE_MIN_SLOTS", 64)
+        gm.sssp_minplus(self._weighted_grid(48), 0)
+
+    @pytest.mark.parametrize("name, mask", [
+        ("arith-real", None), ("max-plus", None),
+        ("min-plus", np.ones(4, dtype=bool))])
+    def test_into_only_for_an_unmasked_min(self, name, mask):
+        sr = gm.semiring_by_name(name)
+        a = gm.build(sr, (4, 4), ([0, 1], [1, 2], [2.0, 3.0]))
+        w = np.full(4, math.inf)
+        with pytest.raises(ValueError):
+            kernels._vxm(sr, np.array([0]), np.array([0.0]), a, mask,
+                         into=w)
+        assert np.isinf(w).all()
+
+    @staticmethod
     def _relaxed(monkeypatch, a, source):
         """(distances, the out-edges relaxed in each `_vxm` round)."""
         degree, rounds, vxm = np.diff(a.indptr), [], graph._vxm
-        monkeypatch.setattr(graph, "_vxm", lambda sr, ids, *rest: (
-            rounds.append(int(degree[ids].sum())) or vxm(sr, ids, *rest)))
+        monkeypatch.setattr(graph, "_vxm", lambda sr, ids, *rest, **kw: (
+            rounds.append(int(degree[ids].sum()))
+            or vxm(sr, ids, *rest, **kw)))
         return gm.sssp_minplus(a, source), rounds
 
     def test_rmat_relaxes_each_edge_about_once(self, monkeypatch):
@@ -536,7 +598,7 @@ class TestHopsOnArrays:
             m.setattr(gm.SparseMatrix, "__init__",
                       lambda self, *a: made.append(1) or init(self, *a))
             m.setattr(graph, "_vxm",
-                      lambda *a: hops.append(1) or vxm(*a))
+                      lambda *a, **kw: hops.append(1) or vxm(*a, **kw))
             traversal()
         return len(made), len(hops)
 

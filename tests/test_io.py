@@ -933,6 +933,97 @@ class TestPointZeroWeights:
         assert tables == [None]
 
 
+@st.composite
+def horner_body(draw, sep, low):
+    """A body the digit table reads by Horner's rule, or one it must
+    decline: vertex tokens of 1 to 20 digits, leading zeros included,
+    small ones low to 40 mostly; with `sep` a tab, comma groups, `#` and
+    blank lines too. Weights, on all lines or none, of 1 to 20 digits,
+    ending in `.0` on all lines or some."""
+    small = st.integers(low, 40).map(str)
+    token = st.one_of(small, small, digit_field(1, 20))
+    vertex = (st.lists(token, min_size=1, max_size=3).map(",".join)
+              if sep == "\t" else token)
+    weighted, dots = draw(st.booleans()), draw(st.sampled_from(
+        ["all", "all", "none", "some"]))
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        if sep == "\t" and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "# a, note", "  #x"])))
+            continue
+        fields = [draw(vertex), draw(vertex)]
+        if weighted:
+            w = draw(st.one_of(small, digit_field(1, 20)))
+            dot = dots == "all" or dots == "some" and draw(st.booleans())
+            fields.append(w + ".0" * dot)
+        lines.append(sep.join(fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestHornerDigits:
+    """The digit table parses each token by Horner's rule, int32 up to 9
+    digits and int64 up to 18; a body with an empty token or one of 19
+    or more digits is left to the other paths. Either way a reader gives
+    exactly what the line parser gives."""
+
+    @pytest.mark.parametrize("parse", [None, float])
+    def test_edge_list_matches_line_parser(self, parse, tmp_path):
+        p = tmp_path / "e.tsv"
+        with pytest.MonkeyPatch.context() as mp:
+            tables = TestDigitTable.spy(mp)
+
+            @settings(max_examples=250, deadline=None)
+            @given(text=horner_body("\t", 0), one_based=st.booleans())
+            def check(text, one_based):
+                p.write_text(text)
+                args = (p, one_based, parse)
+                assert edge_outcome(fileio.read_edge_list, *args) == \
+                    edge_outcome(line_parsed, *args)
+
+            check()
+        taken = [t for t in tables if t is not None]
+        assert {t.dtype for t in taken} == {np.dtype(np.int32),
+                                            np.dtype(np.int64)}
+
+    @pytest.mark.parametrize("sr", [ARITH, NATURAL], ids=["real", "natural"])
+    def test_matrix_market_matches_line_parser(self, sr, tmp_path):
+        p = tmp_path / "m.mtx"
+        with pytest.MonkeyPatch.context() as mp:
+            tables = TestDigitTable.spy(mp)
+
+            @settings(max_examples=250, deadline=None)
+            @given(body=horner_body(" ", 1))
+            def check(body):
+                count = body.count("\n") + (not body.endswith("\n"))
+                p.write_text(f"{HEAD}40 40 {count}\n{body}")
+                fast = read_outcome(p, sr)
+                with pytest.MonkeyPatch.context() as inner:
+                    inner.setattr(fileio, "_plain_columns", give_up)
+                    assert read_outcome(p, sr) == fast
+
+            check()
+        assert any(t is not None for t in tables)
+
+    @pytest.mark.parametrize("text, table", [
+        ("1\t\t2\n", None),  # an empty token
+        ("0\t1\t" + "9" * 18 + "\n", [0, 1, 10**18 - 1]),
+        ("0\t1\t" + "9" * 9 + "\n", [0, 1, 10**9 - 1]),
+        ("0\t1\t" + str(10**18) + "\n", None),
+        ("0\t1\t" + "0" * 17 + "42\n", None),  # 19 digits, 2 of them not 0
+        ("007\t0\t0010.0\n", [7, 0, 10]),
+    ])
+    def test_edge_tokens(self, text, table, tmp_path, monkeypatch):
+        p = tmp_path / "e.tsv"
+        p.write_text(text)
+        tables = TestDigitTable.spy(monkeypatch)
+        assert edge_outcome(fileio.read_edge_list, p, False, float) == \
+            edge_outcome(line_parsed, p, False, float)
+        assert py(tables[0]) == table
+        if table is not None:
+            wide = max(table) >= 10**9
+            assert tables[0].dtype == (np.int64 if wide else np.int32)
+
+
 def edge_values(*specials, lo, hi):
     """Integral floats from lo to hi, any float between, and specials."""
     return st.one_of(st.sampled_from(specials),

@@ -1549,6 +1549,38 @@ class TestPrivateVxm:
         if path == "chunks":
             assert any(len(sizes) > 1 for sizes in chunks)
 
+    @pytest.mark.parametrize("path", ["compare", "bitmap", "sort",
+                                      "chunks"])
+    def test_into_lowers_w_as_the_fresh_fold_would(self, path, monkeypatch):
+        # w<min>= x a in place gives w, and the columns it lowered with
+        # their values, as a fresh min fold compared against w does
+        wide = path in ("bitmap", "sort")
+        if path == "bitmap":  # every lowered set against a wide w
+            monkeypatch.setattr(kernels, "_DENSE_MIN_SLOTS", self.WIDE)
+        if path == "chunks":
+            monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 2)
+        rng = random.Random(83)
+        for _ in range(40):
+            n, m = rng.randint(1, 9), rng.randint(1, 9)
+            a = random_matrix(MINPLUS, rng, n, m, density=0.6)
+            f = random_matrix(MINPLUS, rng, 1, n, density=0.6)
+            cols = (np.array(sorted(rng.sample(range(self.WIDE), m)))
+                    if wide else np.arange(m))
+            a = gm.build(MINPLUS, (n, cols[-1] + 1 if wide else m), (
+                a.row_arrays(), cols[a.indices], a.values))
+            w = np.array([rng.choice([math.inf, 0.0, 1.5, 4.0, 9.0])
+                          for _ in range(a.ncols)])
+            fresh_cols, fresh_vals = kernels._vxm(MINPLUS, f.indices,
+                                                  f.values, a)
+            lower = fresh_vals < w[fresh_cols]
+            want = w.copy()
+            want[fresh_cols[lower]] = fresh_vals[lower]
+            got_cols, got_vals = kernels._vxm(MINPLUS, f.indices, f.values,
+                                              a, into=w)
+            assert got_cols.tolist() == fresh_cols[lower].tolist()
+            assert got_vals.tobytes() == fresh_vals[lower].tobytes()
+            assert w.tobytes() == want.tobytes()
+
     def test_positions_built_once_in_one_chunk(self, monkeypatch):
         # products within the cap: _ranges gives all positions and no
         # chunk loop runs; above it, _chunks splits them
