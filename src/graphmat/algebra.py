@@ -59,10 +59,10 @@ class Domain:
             return
         if self.dtype is np.float64 and np.isnan(values).any():
             raise DomainError(f"NaN is not in domain {self.name}")
-        if self is NATURAL:
-            bad = (values[values < 0].tolist() if values.dtype.kind in "iu"
-                   else [v for v in values.flat if not (
-                       isinstance(v, int) and 0 <= v <= U64_MAX)])
+        if self is NATURAL:  # uint64 holds naturals only; name another's
+            bad = values.dtype != np.uint64 and [
+                v for v in values.tolist() if not self.contains(
+                    int(v) if isinstance(v, float) and v.is_integer() else v)]
             if bad:
                 raise DomainError(f"{bad[0]!r} is not a 64-bit natural")
         elif self is REAL_NONNEG:
@@ -90,8 +90,7 @@ class Domain:
         ".0" for reals integral below 1e16 in magnitude (an exponent
         from there on) but -0.0. None if it writes any otherwise."""
         if self.render is _render_int:
-            return (values.astype(np.uint64) if values.dtype == object
-                    else values), ""
+            return values, ""
         if self.render is _render_real and (np.abs(values) < 1e16).all():
             ints = values.astype(np.int64)
             if (ints == values).all() and not np.signbit(
@@ -145,7 +144,7 @@ REAL_NONPOS = Domain(
 
 NATURAL = Domain(
     name="natural",
-    dtype=object,
+    dtype=np.uint64,
     contains=lambda v: isinstance(v, int) and not isinstance(v, bool)
     and 0 <= v <= U64_MAX,
     sample=lambda rng: rng.randrange(0, 1000),

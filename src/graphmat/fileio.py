@@ -200,8 +200,10 @@ def _parse_vertex_group(text, path, lineno, shift):
             v = int(tok) - shift
         except ValueError:
             raise FormatError(f"bad vertex index {tok!r}", path, lineno)
-        if v < 0:
-            raise FormatError(f"negative vertex index {v}", path, lineno)
+        if v < 0:  # named as the file wrote it
+            raise FormatError("vertex index 0 in a 1-based file" if v >= -shift
+                              else f"negative vertex index {v + shift}",
+                              path, lineno)
         out.append(v)
     return out
 

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import BinaryOp, Semiring
 from .errors import DimensionError, DomainError, GraphMatError, IndexBoundsError
 from .matrix import (SparseMatrix, _csr, _find, _fold, _key, _narrow,
-                     _ranges, _sort, _wide, coalesce)
+                     _ranges, _sort, _wide)
 
 # the block cap: expanded products per multiply block. Blocks end on
 # row boundaries (a row above the cap is a block of its own), and a
@@ -404,10 +404,14 @@ def ewise_add(op: BinaryOp, zero, a: SparseMatrix,
 
 
 def _ewise_add(op, zero, a, b):
+    # coalesce's fold; values stored in a matrix need no entry check
     rows = np.concatenate([a.row_arrays(), b.row_arrays()])
     cols = np.concatenate([a.indices, b.indices])
     vals = np.concatenate([a.values, b.values])
-    return coalesce(a.nrows, a.ncols, rows, cols, vals, op, zero, a.domain)
+    order, keys = _sort(_key(rows, cols, a.nrows, a.ncols),
+                        a.nrows * a.ncols)
+    return _csr(a.nrows, a.ncols, *_fold(keys, vals[order], a.ncols, op,
+                                          zero, a.domain), a.domain)
 
 
 def ewise_mult(op: BinaryOp, zero, a: SparseMatrix,
@@ -465,13 +469,9 @@ def selection_matrix(sr: Semiring, idx, n_source) -> SparseMatrix:
     (p, idx[p]); extract(a, i, j) == S(i) a S(j)^T."""
     idx = _check_index_vector(idx, n_source, "selection")
     m = len(idx)
-    return SparseMatrix(
-        m, n_source,
-        np.arange(m + 1, dtype=np.int64),
-        idx.copy(),
-        np.full(m, sr.one, dtype=sr.domain.dtype),
-        sr.domain,
-    )
+    return SparseMatrix(m, n_source, np.arange(m + 1, dtype=np.int64),
+                        idx.copy(), _narrow(np.full(m, sr.one), sr.domain),
+                        sr.domain)
 
 
 def assign(c: SparseMatrix, i, j, a: SparseMatrix) -> SparseMatrix:

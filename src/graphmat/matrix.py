@@ -33,9 +33,9 @@ class TripleList:
     def __len__(self):
         return len(self.rows)
 
-    def __iter__(self):
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            yield int(r), int(c), v
+    def __iter__(self):  # Python scalars, as a domain's `contains` takes
+        return zip(*(np.asarray(p).tolist()
+                     for p in (self.rows, self.cols, self.vals)))
 
 
 class SparseMatrix:
@@ -85,11 +85,11 @@ class SparseMatrix:
         return self.indices[lo:hi], self.values[lo:hi]
 
     def get(self, i, j, default=None):
-        """Stored value at (i, j), or `default` if implicit."""
+        """Stored value at (i, j), a Python scalar; `default` if implicit."""
         cols, vals = self.row(i)
         k = np.searchsorted(cols, j)
         if k < len(cols) and cols[k] == j:
-            return vals[k]
+            return vals[k:k + 1].tolist()[0]  # any dtype, object too
         return default
 
     def row_arrays(self):
@@ -189,6 +189,10 @@ def _words(v):
         if v._w is None:
             v._w = _words(v.values)
         return v._w
+    if v.dtype == np.uint64:  # as int64 the values from 2**63 would wrap
+        if v.max(initial=0) >= 2**63:
+            return None, 2**63
+        v = v.view(np.int64)
     try:
         w = np.asarray(v, dtype=np.int64)
     except OverflowError:
@@ -200,15 +204,16 @@ def _wide(domain: Domain, add, mul, zero, terms, *operands):
     """The values of `operands`, arrays or matrices x (and y), ready for
     a fold by ufunc `add`, from `zero`, of at most `terms` (a matrix:
     its longest row) values mul(x, y) (x alone if `mul` is None; no fold
-    if `add` is None). In NATURAL and int64 domains they are int64 when
-    that is exact: `add` is np.add, np.minimum or np.maximum, `mul` one
-    of those or np.multiply, and terms * (Z + 1) * (X + 1) * (Y + 1) <
-    2**63 for Z, X, Y the largest magnitudes of `zero`, x, y. Else x is
-    Python ints, as under a Python `add` (its one loop OO->O; `ntypes`
-    is read first, as `types` builds a list), so no step wraps or is
-    cast back to the dtype; `_narrow` turns the results back."""
+    if `add` is None). In int64 and uint64 domains (not sets') they are
+    int64 when that is exact: `add` is np.add, np.minimum or np.maximum,
+    `mul` one of those or np.multiply, and terms * (Z + 1) * (X + 1) *
+    (Y + 1) < 2**63 for Z, X, Y the largest magnitudes of `zero`, x, y.
+    Else x is Python ints, as under a Python `add` (its one loop OO->O;
+    `ntypes` is read first, as `types` builds a list), so no step wraps
+    or is cast back to the dtype; `_narrow` turns the results back."""
     vals = [v.values if isinstance(v, SparseMatrix) else v for v in operands]
-    if domain is NATURAL or np.dtype(domain.dtype) == np.int64:
+    wide = np.dtype(domain.dtype) in (np.int64, np.uint64)
+    if wide and domain.universe_size is None:  # a set's bits take no words
         if add in (None, *_WORD_OPS[:3]) and mul in (None, *_WORD_OPS):
             words = [_words(v) for v in operands]
             if isinstance(terms, SparseMatrix):
@@ -224,15 +229,24 @@ def _wide(domain: Domain, add, mul, zero, terms, *operands):
 
 
 def _narrow(vals, domain: Domain):
-    """Folded `vals` checked, in `domain`'s dtype (NATURAL's Python ints)."""
-    if vals.dtype != domain.dtype and domain.dtype is not object:
+    """`vals`, entering a matrix or folded, in `domain`'s dtype and checked:
+    DomainError for a value out of range, truncated by the cast, or NaN."""
+    raw = cast = np.asarray(vals)
+    if raw.dtype != domain.dtype:
+        if raw.dtype.kind == "f" and np.dtype(domain.dtype).kind in "iu":
+            # Python ints that no one integer dtype holds (2**63 beside 1)
+            # come out as rounded floats; as objects they cast exactly
+            raw = np.asarray(vals, dtype=object)
         try:
-            vals = vals.astype(domain.dtype)
-        except OverflowError:
-            raise DomainError(
-                f"folded value outside domain {domain.name}") from None
-    domain.check_array(vals)
-    return vals if vals.dtype == domain.dtype else vals.astype(object)
+            cast = raw.astype(domain.dtype)
+        except (OverflowError, ValueError, TypeError):  # too big, NaN, None
+            cast = None
+        if cast is None or not np.array_equal(cast, raw):
+            if domain is NATURAL:  # "-1 is not a 64-bit natural"
+                domain.check_array(raw)
+            raise DomainError(f"value outside domain {domain.name}")
+    domain.check_array(cast)
+    return cast
 
 
 def _fold(keys, vals, ncols, dup: BinaryOp, zero, domain: Domain,
@@ -289,33 +303,13 @@ def coalesce(nrows, ncols, rows, cols, vals, dup: BinaryOp, zero,
 
     The stable sort preserves input order within a duplicate group, so
     the fold order is the input order even for non-commutative ops.
-    Folded values are checked against `domain`.
+    `vals` are cast to `domain` and checked, as are the folded values.
     """
     rows, cols = (np.asarray(p, dtype=np.int64) for p in (rows, cols))
     order, keys = _sort(_key(rows, cols, nrows, ncols), nrows * ncols)
-    keys, vals = _fold(keys, _convert(vals, domain)[order], ncols, dup,
+    keys, vals = _fold(keys, _narrow(vals, domain)[order], ncols, dup,
                        zero, domain, strict_dup)
     return _csr(nrows, ncols, keys, vals, domain)
-
-
-def _convert(vals, domain: Domain):
-    """`vals` in `domain`'s dtype; DomainError for any value the cast
-    would change (wrapped, truncated or out of range)."""
-    if domain.dtype is object:
-        return np.asarray(vals, dtype=object)
-    raw = np.asarray(vals)
-    if raw.dtype.kind == "f" and np.dtype(domain.dtype).kind in "iu":
-        # Python ints that no one integer dtype holds (2**63 beside 1)
-        # come out as rounded floats; as objects they cast exactly
-        raw = np.asarray(vals, dtype=object)
-    try:
-        with np.errstate(invalid="ignore"):
-            cast = raw.astype(domain.dtype, copy=False)
-    except (OverflowError, ValueError):  # beyond the dtype, or NaN
-        raise DomainError(f"value outside domain {domain.name}") from None
-    if cast.dtype != raw.dtype and not np.array_equal(cast, raw):
-        raise DomainError(f"value outside domain {domain.name}")
-    return cast
 
 
 def build(sr: Semiring, dims, triples, dup: BinaryOp | None = None,
@@ -344,13 +338,9 @@ def build(sr: Semiring, dims, triples, dup: BinaryOp | None = None,
             f"{len(rows)}, {len(cols)}, {len(vals)}")
     if len(rows):
         if rows.min() < 0 or rows.max() >= nrows:
-            raise IndexBoundsError(
-                f"row index outside [0, {nrows})")
+            raise IndexBoundsError(f"row index outside [0, {nrows})")
         if cols.min() < 0 or cols.max() >= ncols:
-            raise IndexBoundsError(
-                f"column index outside [0, {ncols})")
-    vals = _convert(vals, sr.domain)
-    sr.domain.check_array(vals)
+            raise IndexBoundsError(f"column index outside [0, {ncols})")
     return coalesce(nrows, ncols, rows, cols, vals,
                     dup or sr.add, sr.zero, sr.domain, strict_dup)
 

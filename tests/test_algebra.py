@@ -277,15 +277,40 @@ class TestUserDomain:
         assert a.values.tolist() == [good, good]
         assert gm.ewise_add(add, zero, a, a).values.tolist() == [good, good]
 
+    def test_ewise_add_checks_only_its_results(self):
+        # values already stored are in the domain, so only the fold's
+        # results are checked, with one `contains` call each
+        calls = []
+        counted = dataclasses.replace(
+            algebra.REAL, name="counted",
+            contains=lambda v: calls.append(v) or True)
+        sr = make_semiring("counted", counted, algebra.OP_PLUS,
+                           algebra.OP_TIMES, 0.0, 1.0)
+        a = gm.build(sr, (1, 2), ([0], [0], [1.0]))
+        b = gm.build(sr, (1, 2), ([0, 0], [0, 1], [2.0, 4.0]))
+        calls.clear()
+        assert gm.ewise_add(algebra.OP_PLUS, 0.0, a, b).values.tolist() == [
+            3.0, 4.0]
+        assert sorted(calls) == [3.0, 4.0]
+
     def test_built_in_domains_keep_their_array_rules(self):
         # the rule is picked by the domain object; a set domain is one
         # object per universe
         assert algebra.set_domain(8) is algebra.set_domain(8)
-        for name in ("max-min", "xor-and", "arith-natural"):
+        for name in ("max-min", "xor-and"):
             sr = semiring_by_name(name)
-            bad = {"max-min": -1.0, "xor-and": 2, "arith-natural": -1}[name]
+            bad = {"max-min": -1.0, "xor-and": 2}[name]
             with pytest.raises(DomainError):
                 sr.domain.check_array(np.array([bad], dtype=sr.domain.dtype))
+        # naturals are stored as uint64, which holds no other value; an
+        # array of another dtype has its first non-natural named; an
+        # integral float is none, as the cast to uint64 keeps it
+        assert algebra.NATURAL.dtype is np.uint64
+        algebra.NATURAL.check_array(np.array([0, 2**64 - 1], dtype=np.uint64))
+        for bad in ([3, -1], [2.0, 2.5], [1, 2**64]):
+            with pytest.raises(DomainError,
+                               match=f"^{bad[1]} is not a 64-bit natural"):
+                algebra.NATURAL.check_array(np.array(bad, dtype=object))
         sets = semiring_by_name("union-intersect", universe_size=4)
         with pytest.raises(DomainError):
             sets.domain.check_array(np.array([16], dtype=np.uint64))

@@ -8,6 +8,7 @@ accumulator.
 """
 
 import contextlib
+import dataclasses
 import math
 import operator
 from unittest import mock
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphmat as gm
-from graphmat import kernels
+from graphmat import kernels, matrix
 from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
 from graphmat.errors import DomainError
 
@@ -247,3 +248,126 @@ class TestExtractAssignAtDomainEdges:
         _agree(sr, lambda: gm.assign(c, i, j, a),
                lambda: oracle.dense_assign(_dense(c, sr.zero), i, j,
                                            _dense(a, sr.zero), sr.zero))
+
+
+NAT = CASES["arith-natural"][0]
+NAT_EDGES = [2**63 - 1, 2**63, 2**64 - 1]
+
+
+def _nat(dims, rows, cols, vals):
+    return gm.build(NAT, dims, (rows, cols, vals))
+
+
+class TestNaturalAt64BitEdges:
+    """Naturals at 2**63 - 1, 2**63 and 2**64 - 1, stored and folded,
+    kept exactly in uint64 storage. With int64 words allowed the bound
+    sends these values to Python ints, as it does when words are off;
+    either way a natural below 0 or past 2**64 - 1 is named."""
+
+    @pytest.fixture(params=["words-allowed", "python-ints"])
+    def path(self, request, monkeypatch):
+        if request.param == "python-ints":
+            monkeypatch.setattr(matrix, "_WORD_OPS", ())
+
+    def test_words_view_values_below_2_63_only(self):
+        for e in NAT_EDGES:
+            w, top = matrix._words(np.array([1, e], dtype=np.uint64))
+            if e < 2**63:
+                assert (w.dtype, w.tolist(), top) == (np.int64, [1, e], e)
+            else:  # a view would wrap them negative
+                assert (w, top) == (None, 2**63)
+
+    @pytest.mark.parametrize("e", NAT_EDGES)
+    def test_stored_and_folded_exactly(self, e, path):
+        one, below = _nat((1, 1), [0], [0], [1]), _nat((1, 1), [0], [0],
+                                                        [e - 1])
+        row = _nat((1, 2), [0, 0], [0, 1], [1, 1])
+        col = _nat((2, 1), [0, 1], [0, 0], [e - 1, 1])
+        results = {
+            "stored": (_nat((1, 2), [0, 0], [1, 0], [e, 1]), [1, e]),
+            "build fold": (_nat((1, 1), [0, 0], [0, 0], [e - 1, 1]), [e]),
+            "ewise_add": (gm.ewise_add(NAT.add, 0, below, one), [e]),
+            # [1 1; 1 0] [e-1 1; 1 0] = [e 1; e-1 1]
+            "mxm": (gm.mxm(NAT, _nat((2, 2), [0, 0, 1], [0, 1, 0], [1] * 3),
+                           _nat((2, 2), [0, 0, 1], [0, 1, 0], [e - 1, 1, 1])),
+                    [e, 1, e - 1, 1]),
+            "vxm": (gm.vxm(NAT, row, col), [e]),
+            "mxv": (gm.mxv(NAT, row, col), [e]),
+            # rows (1, 0) and columns (1, 0) of [0 e; 1 0]
+            "extract": (gm.extract(_nat((2, 2), [0, 1], [1, 0], [e, 1]),
+                                   [1, 0], [1, 0]), [1, e]),
+            "transpose": (gm.transpose(_nat((1, 2), [0, 0], [0, 1], [e, 1])),
+                          [e, 1]),
+        }
+        for name, (got, want) in results.items():
+            assert (got.values.dtype, got.values.tolist()) == (
+                np.uint64, want), name
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_input_outside_is_named(self, bad, path):
+        for vals in ([bad], [2**63, bad], [bad, 2**64 - 1]):
+            with pytest.raises(DomainError,
+                               match=f"^{bad} is not a 64-bit natural$"):
+                _nat((1, 2), [0] * len(vals), [0, 1][:len(vals)], vals)
+
+    def test_an_integral_float_enters_as_its_natural(self, path):
+        # arrays are cast exactly, as INTEGER's are: 2.0 enters as 2 in
+        # any container, or as a fold's result, and 2.5 is named; the
+        # scalar entry points take Python ints only
+        for vals in ([2.0], np.array([2.0]), np.array([2.0], dtype=object),
+                     [2**63, 2.0]):
+            a = _nat((1, 2), [0] * len(vals), [0, 1][-len(vals):], vals)
+            assert (a.values.dtype, a.get(0, 1)) == (np.uint64, 2)
+        with pytest.raises(DomainError,
+                           match=r"^2\.5 is not a 64-bit natural$"):
+            _nat((1, 2), [0, 0], [0, 1], [2**63, 2.5])
+        with pytest.raises(DomainError, match="not in domain natural"):
+            gm.scalar_add(NAT, 2.0, 1)
+        divide = gm.BinaryOp("divide", operator.truediv, np.true_divide,
+                             commutative=False, associative=False)
+        six, two, four = (_nat((1, 1), [0], [0], [v]) for v in (6, 2, 4))
+        assert gm.ewise_mult(divide, 0, six, two).values.tolist() == [3]
+        with pytest.raises(DomainError,
+                           match=r"^1\.5 is not a 64-bit natural$"):
+            gm.ewise_mult(divide, 0, six, four)
+
+    MINE = gm.make_semiring("my-arith", dataclasses.replace(
+        NAT.domain, name="my-natural"), NAT.add, NAT.mul, 0, 1)
+
+    def test_a_domain_derived_from_natural_is_as_exact(self, path):
+        # a user domain made from NATURAL has no array rule, so its
+        # `contains` decides; it is stored as uint64 and its sums and
+        # products past 2**64 - 1 raise instead of wrapping
+        def m(*vals):
+            return gm.build(self.MINE, (1, 1),
+                            ([0] * len(vals), [0] * len(vals), vals))
+
+        top, one, x = m(2**64 - 1), m(1), m(2**32)
+        assert (top.values.dtype, top.get(0, 0)) == (np.uint64, 2**64 - 1)
+        got = [m(2**64 - 2, 1), gm.ewise_add(NAT.add, 0, m(2**64 - 2), one),
+               gm.mxm(self.MINE, m(2**32 - 1), m(2**32 + 1))]
+        assert [g.values.tolist() for g in got] == [[2**64 - 1]] * 3
+        for fold in (lambda: m(2**64 - 1, 1),
+                     lambda: gm.ewise_add(NAT.add, 0, top, one),
+                     lambda: gm.ewise_mult(NAT.mul, 0, x, x),
+                     lambda: gm.mxm(self.MINE, x, x),
+                     lambda: gm.vxm(self.MINE, x, x),
+                     lambda: gm.mxv(self.MINE, x, x)):
+            with pytest.raises(DomainError, match="outside domain my-natural"):
+                fold()
+        for bad in (-1, 2**64):
+            with pytest.raises(DomainError, match="outside domain my-natural"):
+                m(bad)
+
+    def test_fold_outside_is_named(self, path):
+        x = _nat((1, 1), [0], [0], [2**32])
+        top, one = _nat((1, 1), [0], [0], [2**64 - 1]), _nat((1, 1), [0],
+                                                              [0], [1])
+        for fold in (lambda: gm.mxm(NAT, x, x), lambda: gm.vxm(NAT, x, x),
+                     lambda: gm.mxv(NAT, x, x),
+                     lambda: gm.ewise_mult(NAT.mul, 0, x, x),
+                     lambda: gm.ewise_add(NAT.add, 0, top, one),
+                     lambda: _nat((1, 1), [0, 0], [0, 0], [2**64 - 1, 1])):
+            with pytest.raises(DomainError, match=f"^{2**64} is not a "
+                                                  "64-bit natural$"):
+                fold()

@@ -521,7 +521,7 @@ class TestReadTriples:
         monkeypatch.setattr(fileio, "build", spy)
         a = fileio.read_matrix_market(mm, NATURAL)
         assert given == [np.ndarray]
-        assert [(type(v), v) for v in a.values] == [(int, 5), (int, 7)]
+        assert a.values.dtype == np.uint64 and a.values.tolist() == [5, 7]
 
     def test_comments_and_blank_lines_take_no_line_parser(
             self, tmp_path, monkeypatch):
@@ -598,6 +598,24 @@ class TestMalformedMessages:
             with pytest.raises(FormatError) as err:
                 read()
             assert str(err.value) == expected
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("1\t2\n0\t1\n", 2, "vertex index 0 in a 1-based file"),
+        ("1\t-1\n", 1, "negative vertex index -1"),
+        ("1\t2\n3,0\t1\n", 2, "vertex index 0 in a 1-based file"),
+        ("".join(f"{k}\t{k + 1}\n" for k in range(1, 2001))
+         + "e1: out=2 in=3,0\n", 2001, "vertex index 0 in a 1-based file"),
+        ("e1: out=1 in=2,3 w=4\n3\t4,-5\t1\n", 2,
+         "negative vertex index -5"),
+    ], ids=["zero", "negative", "group", "labeled", "hyper"])
+    def test_tsv_one_based_names_the_index_as_written(self, tmp_path, text,
+                                                      line, message):
+        p = tmp_path / "e.tsv"
+        p.write_text(text)
+        for read in (fileio.read_edge_list, fileio.read_triples):
+            with pytest.raises(FormatError) as err:
+                read(p, one_based=True)
+            assert str(err.value) == f"{p}:{line}: {message}"
 
     @pytest.mark.parametrize("text,line,message", [
         (HEAD + "2 2 3\n1 1 1.0\n2 2 1.0\n", None,

@@ -744,6 +744,18 @@ class TestInt64Closed:
         with pytest.raises(DomainError):
             self._m((1, 1), [0, 0], [0, 0], [2**62, 2**62])
 
+    def test_fold_leaving_the_domain_as_a_float_raises(self):
+        # 7 / 2 is 3.5, which the cast to int64 would truncate to 3
+        divide = gm.BinaryOp("divide", operator.truediv, np.true_divide,
+                             commutative=False, associative=False)
+        a = self._m((1, 1), [0], [0], [7])
+        b = self._m((1, 1), [0], [0], [2])
+        for ewise in (gm.ewise_mult, gm.ewise_add):
+            with pytest.raises(DomainError, match="outside domain integer"):
+                ewise(divide, 0, a, b)
+        # an exact quotient stays in the domain
+        assert gm.ewise_mult(divide, 0, a, a).values.tolist() == [1]
+
     def test_results_at_the_bounds_are_kept(self):
         low = gm.mxm(self.INT, self._m((1, 1), [0], [0], [-(2**62)]),
                      self._m((1, 1), [0], [0], [2]))

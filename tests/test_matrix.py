@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +181,48 @@ class TestExtractTuples:
     def test_fixture_tuples(self):
         t = gm.extract_tuples(load_fixture_adjacency())
         assert len(t) == 12
+
+
+class TestPythonScalarsOut:
+    """`get` and TripleList iteration hand back Python scalars, which
+    `scalar_add` and `scalar_mul` take, in every built-in domain."""
+
+    @pytest.mark.parametrize("sr,v", [
+        (gm.semiring_by_name("arith-real"), 2.5),
+        (gm.semiring_by_name("max-min"), 2.5),
+        (gm.semiring_by_name("max-min", variant="nonpos"), -2.5),
+        (gm.semiring_by_name("arith-natural"), 3),
+        (gm.make_semiring("int-arith", INTEGER, OP_PLUS, OP_TIMES, 0, 1), -3),
+        (gm.semiring_by_name("xor-and"), 1),
+        (gm.semiring_by_name("union-intersect", universe_size=8), 0b101),
+        (gm.semiring_by_name("union-intersect", universe_size=64), 2**63 | 1),
+        # a user domain on an object array, of Python objects already
+        (gm.make_semiring("fraction", gm.Domain(
+            name="fraction", dtype=object,
+            contains=lambda v: isinstance(v, Fraction), sample=None,
+            parse_text=Fraction, render=str, mm_field="real"),
+            OP_PLUS, OP_TIMES, Fraction(0), Fraction(1)), Fraction(1, 3)),
+    ], ids=["real", "real-nonneg", "real-nonpos", "natural", "integer",
+            "bool", "set8", "set64", "object"])
+    def test_values_read_back_pass_the_scalar_ops(self, sr, v):
+        a = gm.build(sr, (1, 2), ([0], [1], [v]))
+        got = a.get(0, 1)
+        (r, c, x), = gm.extract_tuples(a)
+        assert [(type(y), y) for y in (got, r, c, x)] == [
+            (type(v), v), (int, 0), (int, 1), (type(v), v)]
+        assert gm.scalar_add(sr, got, x) == sr.add(v, v)
+        assert gm.scalar_mul(sr, got, x) == sr.mul(v, v)
+        assert a.get(0, 0) is None
+
+    def test_natural_read_back_still_overflows(self):
+        nat = gm.semiring_by_name("arith-natural")
+        top = gm.build(nat, (1, 1), ([0], [0], [2**64 - 1])).get(0, 0)
+        assert top == 2**64 - 1 and type(top) is int
+        with pytest.raises(DomainError, match="natural addition overflow"):
+            gm.scalar_add(nat, top, 1)
+        with pytest.raises(DomainError,
+                           match="natural multiplication overflow"):
+            gm.scalar_mul(nat, top, 2)
 
 
 class TestTranspose:
