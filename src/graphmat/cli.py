@@ -67,20 +67,24 @@ def _emit(a, args):
         print(f"wrote {args.output}")
 
 
-def _index(token, one_based):
+def _index(token, one_based, bound, what):
+    """A 0-based index; a 1-based one outside [1, bound] named as written."""
     try:
-        return int(token) - (1 if one_based else 0)
+        v = int(token)
     except ValueError:
         raise GraphMatError(f"bad vertex index {token.strip()!r}") from None
+    if one_based and not 1 <= v <= bound:
+        raise GraphMatError(f"{what} index {v} outside [1, {bound}]")
+    return v - one_based
 
 
-def _index_list(text, one_based):
-    return [_index(t, one_based) for t in text.split(",") if t.strip()]
+def _index_list(text, *how):  # each comma-separated token by _index
+    return [_index(t, *how) for t in text.split(",") if t.strip()]
 
 
-def _rows_cols(args):
-    rows = _index_list(args.rows, args.one_based)
-    return rows, _index_list(args.cols, args.one_based) if args.cols else rows
+def _rows_cols(args, m):  # index lists into m, --cols by default --rows
+    return [_index_list(t, args.one_based, k, what) for t, k, what in zip(
+        (args.rows, args.cols or args.rows), m.dims, ("row", "column"))]
 
 
 def _run_matrix(args):
@@ -106,23 +110,22 @@ def cmd_bfs(args):
     sr = _semiring_from_args(args)
     a = _load_matrix(args.input, args, sr)
     shift = 1 if args.one_based else 0
-    sources = _index_list(args.source, args.one_based)
+    sources = _index_list(args.source, args.one_based, a.nrows, "source")
     if not sources:
         raise GraphMatError("--source names no vertex")
-    result = graph.bfs_levels(a, sources, max_hops=args.max_hops)
-    # None, for a vertex not reached, reads as nan and is written "-"
-    level, parent = (np.array(x, dtype=float)
-                     for x in (result.levels, result.parents))
+    # -1, for a vertex not reached, becomes nan and is written "-"
+    level, parent = (np.where(x < 0, np.nan, x + s) for x, s in zip(
+        graph._bfs(a, sources, args.max_hops, False), (0, shift)))
     sys.stdout.write("vertex\tlevel\tparent\n" + fileio._digit_lines(
-        (np.arange(len(level)) + shift, level, parent + shift), "\t"))
+        (np.arange(len(level)) + shift, level, parent), "\t"))
 
 
 def cmd_sssp(args):
     sr = semiring_by_name("min-plus")
     # an edge without a weight is one hop, not min-plus's one (0.0)
     a = _load_matrix(args.input, args, sr, weight=1.0)
-    source = _index(args.source, args.one_based)
-    dist = np.array(graph.sssp_minplus(a, source), dtype=float)
+    dist = graph._sssp(a, _index(args.source, args.one_based, a.nrows,
+                                 "source"))
     shift = 1 if args.one_based else 0
     # inf, for a vertex not reached, is written "-"
     digits = sr.domain.digits(dist[dist < math.inf])
@@ -240,12 +243,13 @@ def _make_parser():
     sp.add_argument("--source", required=True)
 
     sp = matrix("subgraph", "extract a sub-matrix",
-                lambda sr, args, a: kernels.extract(a, *_rows_cols(args)))
+                lambda sr, args, a: kernels.extract(a, *_rows_cols(args, a)))
     sp.add_argument("--rows", required=True)
     sp.add_argument("--cols", default=None)
 
     sp = matrix("assign", "write a matrix into another",
-                lambda sr, args, c, a: kernels.assign(c, *_rows_cols(args), a))
+                lambda sr, args, c, a:
+                kernels.assign(c, *_rows_cols(args, c), a))
     sp.add_argument("--source-matrix", required=True)
     sp.set_defaults(files=("input", "source_matrix"))
     sp.add_argument("--rows", required=True)

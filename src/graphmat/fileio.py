@@ -27,15 +27,14 @@ from .matrix import SparseMatrix, _ranges, build, extract_tuples
 class EdgeColumns:
     """Edge records as incidence columns: for each side, the edge id and
     vertex of every (edge, vertex) pair as int64 arrays in file order,
-    and one weight per edge: an array from a column of digits, else a
-    list, None where a line gives none (the multiplicative identity).
-    len() is the number of edges."""
+    and each edge's weight in one array, None where a line gives none
+    (the multiplicative identity). len() is the number of edges."""
 
     out_edges: np.ndarray
     out_vertices: np.ndarray
     in_edges: np.ndarray
     in_vertices: np.ndarray
-    weights: list | np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def from_groups(cls, outs, ins, weights):
@@ -46,7 +45,7 @@ class EdgeColumns:
                      for g in (outs, ins)]
         except OverflowError:
             raise IndexBoundsError("index outside the int64 range") from None
-        return cls(*sides[0], *sides[1], weights)
+        return cls(*sides[0], *sides[1], np.array(weights, dtype=object))
 
     def __len__(self):
         return len(self.weights)
@@ -58,9 +57,10 @@ class EdgeColumns:
                        self.in_vertices.max(initial=0))) + 1
 
     def weight_array(self, default):
-        """Each edge's weight in an object array, `default` where none."""
-        w = np.array(self.weights, dtype=object)
-        return np.where(np.equal(w, None), default, w)
+        """Each edge's weight, `default` where none: a numeric array as is."""
+        w = self.weights
+        return w if w.dtype != object else np.where(np.equal(w, None),
+                                                    default, w)
 
 
 @contextmanager
@@ -121,7 +121,8 @@ def _plain_columns(text, sep, widths, shift, parse, default, edge_list=False):
     elif not grouped and not (edge_list and b"out=" in raw):
         tokens = raw[:-1].decode().replace("\n", sep).split(sep)
         cols = [tokens[k] for k in at]
-        vals = list(map(parse, cols[2])) if w == 3 else []
+        vals = np.array([parse(t) for t in cols[2]] if w == 3 else [],
+                        float if parse is float else object)  # ints stay exact
     else:
         raise ValueError("groups or labeled lines with other fields")
     out_v, in_v = (np.asarray(c, dtype=np.int64) - shift for c in cols[:2])
@@ -129,7 +130,7 @@ def _plain_columns(text, sep, widths, shift, parse, default, edge_list=False):
         raise ValueError("negative vertex index")
     ids = [line[at[0]], line[at[1]]] if grouped else [np.arange(len(last))] * 2
     return EdgeColumns(ids[0], out_v, ids[1], in_v,
-                       vals if w == 3 else [default] * len(last))
+                       vals if w == 3 else np.full(len(last), default))
 
 
 def _layout(raw, sep, edge_list):
@@ -238,7 +239,7 @@ def read_edge_list(path, one_based=False, value_parser=None):
 def read_triples(path, one_based=False, value_parser=None, default=1):
     """(rows, cols, vals, n) of a TSV edge list, as read_edge_list,
     triples_from_edges(edges, default) and edges.n_vertices give them,
-    errors included; rows and cols are int64 arrays, vals as weights are."""
+    errors included; rows and cols are int64 arrays, vals an array."""
     edges = _read_edges(path, one_based, value_parser, default)
     n = edges.n_vertices
     if len(edges.out_vertices) == len(edges.in_vertices) == len(edges):
@@ -322,18 +323,18 @@ def incidence_from_edges(sr: Semiring, edges, n_vertices,
         side = "out" if k < len(edges.out_edges) else "in"
         raise IndexBoundsError(f"edge {ids[k]}: {side}-vertex {vertices[k]} "
                                f"outside [0, {n_vertices})")
-    in_vals = (edges.weight_array(sr.one)[edges.in_edges].tolist()
-               if use_weights else [sr.one] * len(edges.in_edges))
+    in_vals = (edges.weight_array(sr.one)[edges.in_edges]
+               if use_weights else np.full(len(edges.in_edges), sr.one))
     dims = (max(len(edges), 1), n_vertices)
     return (build(sr, dims, (edges.out_edges, edges.out_vertices,
-                             [sr.one] * len(edges.out_edges))),
+                             np.full(len(edges.out_edges), sr.one))),
             build(sr, dims, (edges.in_edges, edges.in_vertices, in_vals)))
 
 
 def triples_from_edges(edges, default_weight):
     """Flatten edge columns to pairwise (row, col, val) triples, edge by
     edge in file order; a hyper-edge contributes its full out x in cross
-    product, out-vertex major. Rows and cols are int64 arrays."""
+    product, out-vertex major, in arrays (rows and cols int64)."""
     in_counts = np.bincount(edges.in_edges, minlength=len(edges))
     in_starts = np.cumsum(in_counts) - in_counts
     per_out = in_counts[edges.out_edges]  # products of each out-vertex
@@ -341,7 +342,7 @@ def triples_from_edges(edges, default_weight):
     cols = edges.in_vertices[_ranges(in_starts[edges.out_edges], per_out)]
     vals = edges.weight_array(default_weight)[
         np.repeat(edges.out_edges, per_out)]
-    return rows, cols, vals.tolist()
+    return rows, cols, vals
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,6 @@ def laplacian_from_incidence(e_signed: SparseMatrix) -> SparseMatrix:
     return mxm(_ARITH, transpose(e_signed), e_signed)
 
 
-def _ones(domain, k):
-    """k ones of `domain` as a broadcast view, not a k-sized array."""
-    return np.broadcast_to(domain.dtype(1), k)
-
-
 def bfs_levels(a: SparseMatrix, sources, max_hops=None,
                with_parents=True, gf2=False) -> BfsResult:
     """Multi-source BFS, one masked product per hop over the complement
@@ -133,6 +128,13 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
     xor instead, where even edge multiplicities cancel; parents then
     take a second product per hop, masked by the vertices reached.
     """
+    level, parent = _bfs(a, sources, max_hops, gf2)
+    return BfsResult(levels=_unset_to_none(level),
+                     parents=_unset_to_none(parent) if with_parents else None)
+
+
+def _bfs(a, sources, max_hops, gf2):
+    """bfs_levels' levels and parents as int64 arrays, -1 where unset."""
     if a.nrows != a.ncols:
         raise DimensionError("BFS needs a square adjacency matrix",
                              expected=f"{a.nrows}x{a.nrows}",
@@ -155,8 +157,8 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
         hop += 1
         mask, complement = visited, True
         if gf2:  # reached: an odd number of frontier edges lead in
-            odd, _ = _vxm(_XOR_FIRST, frontier, _ones(BOOL, len(frontier)),
-                          a, visited, True)
+            ones = np.broadcast_to(BOOL.dtype(1), len(frontier))  # a view
+            odd, _ = _vxm(_XOR_FIRST, frontier, ones, a, visited, True)
             mask, complement = np.zeros(n, dtype=bool), False
             mask[odd] = True
         frontier, ids = _vxm(_MIN_FIRST, frontier, frontier.astype(
@@ -164,8 +166,7 @@ def bfs_levels(a: SparseMatrix, sources, max_hops=None,
         visited[frontier] = True
         level[frontier] = hop
         parent[frontier] = ids
-    return BfsResult(levels=_unset_to_none(level),
-                     parents=_unset_to_none(parent) if with_parents else None)
+    return level, parent
 
 
 def _unset_to_none(arr):
@@ -188,6 +189,11 @@ def sssp_minplus(a: SparseMatrix, source) -> list:
     distances, bit for bit. Weights must be non-negative; the implicit
     zero is +inf.
     """
+    return _sssp(a, source).tolist()
+
+
+def _sssp(a, source):
+    """sssp_minplus' distances as a float64 array."""
     if a.nrows != a.ncols:
         raise DimensionError("SSSP needs a square adjacency matrix",
                              expected=f"{a.nrows}x{a.nrows}",
@@ -214,7 +220,7 @@ def sssp_minplus(a: SparseMatrix, source) -> list:
             merged = np.zeros(n, dtype=bool)
             merged[waiting] = merged[pending] = True
             pending, waiting = merged.nonzero()[0], ()
-    return dist.tolist()
+    return dist
 
 
 def graph_union(sr: Semiring, a: SparseMatrix,

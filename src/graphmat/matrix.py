@@ -237,13 +237,16 @@ def _narrow(vals, domain: Domain):
             # Python ints that no one integer dtype holds (2**63 beside 1)
             # come out as rounded floats; as objects they cast exactly
             raw = np.asarray(vals, dtype=object)
-        try:
-            cast = raw.astype(domain.dtype)
+        words = raw.dtype == np.int64 and np.dtype(domain.dtype) == np.uint64
+        try:  # int64 words enter uint64 by a sign test and a view
+            cast = raw.view(np.uint64) if words else raw.astype(domain.dtype)
         except (OverflowError, ValueError, TypeError):  # too big, NaN, None
             cast = None
-        if cast is None or not np.array_equal(cast, raw):
-            if domain is NATURAL:  # "-1 is not a 64-bit natural"
-                domain.check_array(raw)
+        if cast is None or not (raw.min(initial=0) >= 0 if words
+                                else np.array_equal(cast, raw)):
+            # named: "-1 is not a 64-bit natural", a NaN that came as object
+            if domain is NATURAL or cast is not None and cast.dtype == float:
+                domain.check_array(raw if domain is NATURAL else cast)
             raise DomainError(f"value outside domain {domain.name}")
     domain.check_array(cast)
     return cast

@@ -301,6 +301,42 @@ class TestBfs:
         assert "--source" in capsys.readouterr().err
 
 
+class TestOneBasedIndexLists:
+    """Under --one-based a bad index of --source, --rows or --cols is
+    named as written, with the bound 1-based too; still exit 2."""
+
+    @pytest.mark.parametrize("command, flags, named", [
+        (["bfs"], ["--source", "0"], "source index 0 outside [1, 7]"),
+        (["bfs"], ["--source", "8"], "source index 8 outside [1, 7]"),
+        (["bfs"], ["--source", "2,7,9"], "source index 9 outside [1, 7]"),
+        (["sssp"], ["--source", "0"], "source index 0 outside [1, 7]"),
+        (["subgraph"], ["--rows", "0,1"], "row index 0 outside [1, 7]"),
+        (["subgraph"], ["--rows", "1", "--cols", "3,8"],
+         "column index 8 outside [1, 7]"),
+        (["assign", "--source-matrix", "SELF"], ["--rows", "1,2,3,4,5,6,8"],
+         "row index 8 outside [1, 7]"),
+    ])
+    def test_bad_index_named_as_written(self, tmp_path, capsys, command,
+                                        flags, named):
+        p = tmp_path / "g1.tsv"
+        p.write_text("".join(f"{int(u) + 1}\t{int(v) + 1}\n"
+                             for u, v in map(str.split, open(EDGES))))
+        argv = [str(p) if a == "SELF" else a for a in command]
+        assert main(argv + [str(p), "--one-based"] + flags) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_zero_based_message_unchanged(self, capsys):
+        assert main(["bfs", EDGES, "--source", "7"]) == 2
+        assert capsys.readouterr().err == \
+            "error: source index outside [0, 7)\n"
+
+    def test_good_one_based_source_runs(self, tmp_path, capsys):
+        p = tmp_path / "g1.tsv"
+        p.write_text("1\t2\n2\t7\n")
+        assert main(["bfs", str(p), "--source", "7", "--one-based"]) == 0
+        assert capsys.readouterr().out.endswith("\n7\t0\t-\n")
+
+
 class TestTables:
     """bfs and sssp print one line per vertex, numbered from 1 with
     --one-based, "-" for a vertex not reached."""
@@ -430,6 +466,17 @@ class TestSssp:
         p.write_text("0\t1\t2.5\n1\t2\tnan\n")
         assert main(["sssp", str(p), "--source", "0"]) == 2
         assert "NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["sssp", "--source", "0"],
+                                         ["build"]])
+    def test_nan_weight_from_the_line_parser_exit_2(self, tmp_path, capsys,
+                                                    command):
+        # a weighted line beside an unweighted one takes the line parser,
+        # whose weights reach build as objects: the NaN is named still
+        p = tmp_path / "nan.tsv"
+        p.write_text("0\t1\tnan\n1\t2\n")
+        assert main(command[:1] + [str(p)] + command[1:]) == 2
+        assert capsys.readouterr().err == "error: NaN is not in domain real\n"
 
 
 class TestSubgraph:

@@ -221,7 +221,7 @@ class TestColumnsMatchRecordLoops:
         assert rows.dtype == cols.dtype == np.int64
         loop_rows, loop_cols, loop_vals = loop_triples(records, default)
         # repr tells an int weight from the default 2.5 or a float
-        assert (rows.tolist(), cols.tolist(), list(map(repr, vals))) == \
+        assert (rows.tolist(), cols.tolist(), list(map(repr, py(vals)))) == \
             (loop_rows, loop_cols, list(map(repr, loop_vals)))
         # with `short` > 0 some vertex may fall outside [0, n_vertices)
         n_vertices = max(n - short, 1)
@@ -548,10 +548,10 @@ class TestReadTriples:
         p = tmp_path / "e.tsv"
         p.write_text("2\t0\n")
         rows, cols, vals, n = fileio.read_triples(p, default=7)
-        assert (list(rows), list(cols), vals, n) == ([2], [0], [7], 3)
+        assert (list(rows), list(cols), py(vals), n) == ([2], [0], [7], 3)
         p.write_text("")
         rows, cols, vals, n = fileio.read_triples(p)
-        assert (list(rows), list(cols), vals, n) == ([], [], [], 1)
+        assert (list(rows), list(cols), py(vals), n) == ([], [], [], 1)
 
 
 LONG = "".join(f"{k}\t{k + 1}\t1.5\n" for k in range(2000))
@@ -866,7 +866,7 @@ class TestDigitTable:
             ([0, 3], [1, 0], [5.0, float(str(big))], 4)
         p.write_text("1\t2\n3\t1\n")
         rows, cols, vals, n = fileio.read_triples(p, True, default=7)
-        assert (rows.tolist(), cols.tolist(), vals, n) == \
+        assert (rows.tolist(), cols.tolist(), py(vals), n) == \
             ([0, 2], [1, 0], [7, 7], 3)
         mm = tmp_path / "m.mtx"
         for field, entries in (("integer", "2 1 7\n1 2 9"),
@@ -1151,3 +1151,99 @@ class TestInputErrors:
         a = fileio.read_matrix_market(p, ARITH)
         assert a.get(1, 0) == (1.0 if "Pattern" in banner else 2.5)
         assert a.nnz == 1
+
+
+# every built-in domain by a semiring over it; set64's one is 2**64 - 1
+EVERY_DOMAIN = {
+    "real": ARITH,
+    "real-nonneg": gm.semiring_by_name("max-min"),
+    "real-nonpos": gm.semiring_by_name("min-max", variant="nonpos"),
+    "natural": NATURAL,
+    "int64": DOMAIN_SEMIRINGS["int64"],
+    "bool": get_semiring("xor-and"),
+    "set16": get_semiring("union-intersect"),
+    "set64": gm.semiring_by_name("union-intersect", universe_size=64),
+}
+UNWEIGHTED = "".join(f"{u}\t{v}\n" for u, v in [
+    (0, 1), (0, 4), (1, 3), (3, 0), (0, 1), (6, 2), (5, 5), (2, 4)])
+UNWEIGHTED_HYPER = "".join(f"{o}\t{i}\n" for o, i in [
+    ("0,2", "1"), ("3", "4,5"), ("1,6", "0,2"), ("0", "1")])
+
+
+class TestUnweightedColumns:
+    """A file without weights gives each entry the semiring's one from
+    one array: the matrices equal the line parser's in every domain, and
+    `build` sees arrays only."""
+
+    @staticmethod
+    def reads(sr, tmp_path):
+        """The matrices each column path builds from unweighted files."""
+        tsv, hyper, mtx = (tmp_path / f for f in ("u.tsv", "h.tsv", "p.mtx"))
+        tsv.write_text(UNWEIGHTED)
+        hyper.write_text(UNWEIGHTED_HYPER)
+        mtx.write_text("%%MatrixMarket matrix coordinate pattern general\n"
+                       "7 7 8\n" + "".join(
+                           f"{int(u) + 1} {int(v) + 1}\n" for u, v in
+                           map(str.split, UNWEIGHTED.splitlines())))
+        out = []
+        for path in (tsv, hyper):
+            rows, cols, vals, n = fileio.read_triples(
+                path, False, sr.domain.parse_text, sr.one)
+            out.append(gm.build(sr, (n, n), (rows, cols, vals)))
+            edges = fileio.read_edge_list(path,
+                                          value_parser=sr.domain.parse_text)
+            for use_weights in (False, True):
+                out += fileio.incidence_from_edges(sr, edges, 7, use_weights)
+        out.append(fileio.read_matrix_market(mtx, sr))
+        return out
+
+    @pytest.mark.parametrize("name", EVERY_DOMAIN)
+    def test_same_matrix_as_line_parser(self, name, tmp_path, monkeypatch):
+        sr = EVERY_DOMAIN[name]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_plain_columns", give_up)
+            want = self.reads(sr, tmp_path)
+        bulk = fileio._plain_columns
+
+        def must_fit(*args):
+            edges = bulk(*args)
+            assert isinstance(edges.weights, np.ndarray)
+            return edges
+
+        monkeypatch.setattr(fileio, "_plain_columns", must_fit)
+        got = self.reads(sr, tmp_path)
+        assert got == want
+        assert got[0].nnz == 7 - (name == "bool")  # xor cancels (0, 1)
+        assert got[0].get(0, 4) == got[-1].get(0, 4) == sr.one
+        for a in got:
+            assert a.values.dtype == np.dtype(sr.domain.dtype)
+
+    @pytest.mark.parametrize("name", EVERY_DOMAIN)
+    def test_build_sees_no_list(self, name, tmp_path, monkeypatch):
+        sr, seen = EVERY_DOMAIN[name], []
+        real_build = gm.build
+
+        def spy(sr, dims, triples, *args, **kwargs):
+            seen.append([type(p) for p in triples])
+            return real_build(sr, dims, triples, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "build", spy)
+        monkeypatch.setattr(gm, "build", spy)
+        self.reads(sr, tmp_path)
+        hyper = fileio.read_edge_list(tmp_path / "h.tsv")
+        spy(sr, (7, 7), fileio.triples_from_edges(hyper, sr.one))
+        assert len(seen) == 12
+        assert all(types == [np.ndarray] * 3 for types in seen)
+
+    def test_line_parser_weights_one_object_array(self, tmp_path):
+        # a file mixing weighted and unweighted lines takes the line
+        # parser; its weights come as one object array, default in place
+        p = tmp_path / "mixed.tsv"
+        p.write_text("0\t1\t2\n1\t2\n")
+        edges = fileio.read_edge_list(p)
+        assert edges.weights.dtype == object
+        assert edges.weights.tolist() == [2, None]
+        rows, cols, vals, n = fileio.read_triples(p, default=7)
+        assert isinstance(vals, np.ndarray) and vals.tolist() == [2, 7]
+        vals = fileio.triples_from_edges(edges, 1.5)[2]
+        assert isinstance(vals, np.ndarray) and vals.tolist() == [2, 1.5]

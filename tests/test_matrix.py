@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 import random
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphmat as gm
-from graphmat.algebra import INTEGER, OP_PLUS, OP_TIMES
+from graphmat.algebra import INTEGER, NATURAL, OP_PLUS, OP_TIMES, set_domain
 from graphmat.errors import DomainError, GraphMatError, IndexBoundsError
 from graphmat.matrix import (
     _TIMSORT_MAX_RUNS,
     _key,
+    _narrow,
     _sort,
     check_no_stored_zero,
     coalesce,
@@ -501,3 +503,59 @@ class TestConvertMixedPythonInts:
                 gm.build(self.SET64, (1, 2), ([0, 0], [0, 1], bad))
         ints = gm.build(self.SET64, (1, 2), ([0, 0], [0, 1], [2.0, 2**63]))
         assert ints.values.tolist() == [2, 2**63]
+
+
+def cast_and_compare(vals, domain):
+    """How values entered a matrix before int64 words took a sign test
+    and a view into uint64: the cast, then a compare of the whole array."""
+    raw = cast = np.asarray(vals)
+    if raw.dtype != domain.dtype:
+        if raw.dtype.kind == "f" and np.dtype(domain.dtype).kind in "iu":
+            raw = np.asarray(vals, dtype=object)
+        try:
+            cast = raw.astype(domain.dtype)
+        except (OverflowError, ValueError, TypeError):
+            cast = None
+        if cast is None or not np.array_equal(cast, raw):
+            if domain is NATURAL:
+                domain.check_array(raw)
+            raise DomainError(f"value outside domain {domain.name}")
+    domain.check_array(cast)
+    return cast
+
+
+def narrowed(narrow, vals, domain):
+    """The dtype and values `narrow` gives, or what it raises."""
+    try:
+        out = narrow(vals, domain)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.tolist()
+
+
+class TestNarrowWords:
+    """int64 words enter a uint64 domain by a sign test and a view."""
+
+    DOMAINS = [NATURAL, set_domain(64), set_domain(16),
+               dataclasses.replace(NATURAL, name="my-natural")]
+    WORD = st.one_of(st.integers(-2**63, 2**63 - 1),
+                     st.sampled_from([-1, 0, 1, 2**16, 2**63 - 1, -2**63]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(words=st.lists(WORD, max_size=12), k=st.integers(0, 3))
+    def test_matches_cast_and_compare(self, words, k):
+        domain = self.DOMAINS[k]
+        vals = np.array(words, dtype=np.int64)
+        assert narrowed(_narrow, vals, domain) == \
+            narrowed(cast_and_compare, vals, domain)
+
+    def test_negative_word_named(self):
+        vals = np.array([3, -7, 2**62, -1], dtype=np.int64)
+        with pytest.raises(DomainError, match="^-7 is not a 64-bit natural$"):
+            _narrow(vals, NATURAL)
+
+    def test_a_view_not_a_copy(self):
+        vals = np.array([5, 2**63 - 1], dtype=np.int64)
+        out = _narrow(vals, NATURAL)
+        assert out.dtype == np.uint64 and np.shares_memory(out, vals)
+        assert out.tolist() == [5, 2**63 - 1]
