@@ -213,7 +213,7 @@ def set_to_elements(mask: int) -> frozenset:
 
 @dataclass(frozen=True)
 class BinaryOp:
-    """A named binary scalar operator with its declared algebraic laws.
+    """A named binary scalar operator.
 
     `fn` is the scalar form; `ufunc` the vectorized form used by the
     kernels. User-defined ops without a native ufunc get a frompyfunc
@@ -223,8 +223,6 @@ class BinaryOp:
     name: str
     fn: Callable[[Any, Any], Any]
     ufunc: Any = None
-    commutative: bool = True
-    associative: bool = True
 
     def __post_init__(self):
         if self.ufunc is None:

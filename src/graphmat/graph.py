@@ -27,8 +27,7 @@ _ARITH = semiring_by_name("arith-real")
 # carries it along every edge, never reading A's values, and min keeps
 # the smallest id per reached vertex (SuiteSparse's ANY_SECONDI with a
 # deterministic add)
-_FIRST = BinaryOp("first", lambda x, y: x, lambda x, y: x,
-                  commutative=False)
+_FIRST = BinaryOp("first", lambda x, y: x, lambda x, y: x)
 _MIN_FIRST = Semiring("min-first", REAL, OP_MIN, _FIRST, math.inf, None)
 # reachability over GF(2): the parity of the frontier edges leading in
 _XOR_FIRST = Semiring("xor-first", BOOL, OP_XOR, _FIRST, 0, None)
@@ -48,6 +47,12 @@ class GraphHandle:
     incidence_out: SparseMatrix | None = None
     incidence_in: SparseMatrix | None = None
     directed: bool = True
+
+    def __post_init__(self):
+        if (self.incidence_out is None) != (self.incidence_in is None) or (
+                self.adjacency is None and self.incidence_out is None):
+            raise GraphMatError("a graph handle holds an adjacency matrix, "
+                                "an incidence pair, or both")
 
     @property
     def vertex_count(self):

@@ -12,8 +12,6 @@ equal to the semiring's 0-element.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .algebra import BinaryOp, Semiring
@@ -242,10 +240,10 @@ def _lower(w, chunks, products, domain):
     return slots, _narrow(w[slots], domain)
 
 
-def _pull(sr, ids, x, bt, keep):
+def _pull(sr, ids, x, bt, keep, x_left=True):
     """Dot products: x, stored at the ascending ids, times each row of
-    bt that `keep` sets (every row if None), x as mul's left operand;
-    (rows, values) of those that end nonzero."""
+    bt that `keep` sets (every row if None), x as mul's left operand or,
+    x_left=False, its right; (rows, values) of those that end nonzero."""
     rows = np.arange(bt.nrows) if keep is None else np.flatnonzero(keep)
     x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero, len(ids),
                  x, bt)
@@ -263,7 +261,8 @@ def _pull(sr, ids, x, bt, keep):
             cols = bt.indices[pos]
             hit = np.flatnonzero(present[cols])  # faster than a bool index
             slots = np.repeat(np.arange(lo, hi), counts[lo:hi])
-            yield slots[hit], sr.mul.ufunc(dense[cols[hit]], y[pos[hit]])
+            pair = dense[cols[hit]], y[pos[hit]]
+            yield slots[hit], sr.mul.ufunc(*(pair if x_left else pair[::-1]))
 
     kept, vals = _accumulate(sr, x.dtype, len(rows), chunks())
     return rows[kept], vals
@@ -344,16 +343,8 @@ def mxv(sr: Semiring, a: SparseMatrix, v: SparseMatrix, mask=None,
 
 
 def _mxv(sr, a, v, mask=None, complement=False):
-    # `_pull` puts v's values on mul's left: swap them back unless mul is
-    # np.add or np.multiply, which commute bit for bit, so `_wide` sees it
-    # (not np.minimum or np.maximum, on 0.0 and -0.0; nor `commutative`)
-    mul = sr.mul
-    if mul.ufunc not in (np.add, np.multiply):
-        sr = replace(sr, mul=BinaryOp(mul.name, lambda x, y: mul.fn(y, x),
-                                      lambda x, y: mul.ufunc(y, x),
-                                      commutative=False))
-    rows, vals = _pull(sr, np.flatnonzero(np.diff(
-        v.indptr)), v.values, a, _keep(mask, complement, 0, a.nrows, 1))
+    rows, vals = _pull(sr, np.flatnonzero(np.diff(v.indptr)), v.values, a,
+                       _keep(mask, complement, 0, a.nrows, 1), x_left=False)
     return _csr(a.nrows, 1, rows, vals, sr.domain)  # one column: keys = rows
 
 

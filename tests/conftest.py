@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -26,9 +27,18 @@ NAMED_SEMIRINGS = [
 SET_UNIVERSE = 16
 
 
+_ARITH = gm.semiring_by_name("arith-real")
+# reals under + and a mul that does not commute, x - y
+PLUS_MINUS = gm.make_semiring(
+    "plus-minus", _ARITH.domain, _ARITH.add,
+    gm.BinaryOp("minus", operator.sub, np.subtract), 0.0, 0.0)
+
+
 def get_semiring(name):
     if name == "union-intersect":
         return gm.semiring_by_name(name, universe_size=SET_UNIVERSE)
+    if name == "plus-minus":
+        return PLUS_MINUS
     return gm.semiring_by_name(name)
 
 

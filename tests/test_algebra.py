@@ -211,8 +211,7 @@ class TestLaws:
             assert_matches_dense(gm.mxm(sr, a, b), want, 0)
 
     def test_user_semiring_law_check_rejects_bad_op(self):
-        minus = BinaryOp("minus", operator.sub, commutative=False,
-                         associative=False)
+        minus = BinaryOp("minus", operator.sub)
         with pytest.raises(LawViolation):
             make_semiring("bad", algebra.INTEGER, minus, algebra.OP_TIMES,
                           0, 1, check_laws=True)
@@ -243,7 +242,7 @@ class TestUserDomain:
         assert list(gm.extract_tuples(a)) == [(0, 0, 3.0), (1, 1, 2.0)]
 
     def test_folds_reject_a_value_outside(self):
-        minus = BinaryOp("minus", operator.sub, commutative=False)
+        minus = BinaryOp("minus", operator.sub)
         with pytest.raises(DomainError):
             gm.build(self.SR, (2, 2), ([0, 0], [1, 1], [1.0, 2.0]),
                      dup=minus)

@@ -46,8 +46,7 @@ CASES = {
 MASKS = ["none", "structural", "structural-complement", "bitmap",
          "bitmap-complement"]
 XOR = gm.semiring_by_name("xor-and")
-MINUS = gm.BinaryOp("minus", operator.sub, commutative=False,
-                    associative=False)
+MINUS = gm.BinaryOp("minus", operator.sub)
 # 1e308 * 1e308 and inf - inf are the point here, not a fault
 pytestmark = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
@@ -323,8 +322,7 @@ class TestNaturalAt64BitEdges:
             _nat((1, 2), [0, 0], [0, 1], [2**63, 2.5])
         with pytest.raises(DomainError, match="not in domain natural"):
             gm.scalar_add(NAT, 2.0, 1)
-        divide = gm.BinaryOp("divide", operator.truediv, np.true_divide,
-                             commutative=False, associative=False)
+        divide = gm.BinaryOp("divide", operator.truediv, np.true_divide)
         six, two, four = (_nat((1, 1), [0], [0], [v]) for v in (6, 2, 4))
         assert gm.ewise_mult(divide, 0, six, two).values.tolist() == [3]
         with pytest.raises(DomainError,

@@ -679,3 +679,23 @@ class TestGraphHandle:
         h = gm.GraphHandle(adjacency=load_fixture_adjacency(),
                            incidence_out=e_out, incidence_in=e_in)
         assert not h.check_consistent(ARITH)
+
+    def test_either_view_alone(self):
+        e_out, e_in = fixture_incidence()
+        for h in (gm.GraphHandle(adjacency=load_fixture_adjacency()),
+                  gm.GraphHandle(incidence_out=e_out, incidence_in=e_in)):
+            assert (h.vertex_count, h.edge_count) == (7, 12)
+            assert h.check_consistent(ARITH)
+
+    @pytest.mark.parametrize("views", [
+        (), ("incidence_out",), ("incidence_in",),
+        ("adjacency", "incidence_out"), ("adjacency", "incidence_in")],
+        ids=["none", "out", "in", "adjacency-out", "adjacency-in"])
+    def test_half_an_incidence_pair_rejected(self, views):
+        # no view, or one incidence matrix of the pair: vertex_count,
+        # edge_count and check_consistent would read the missing one
+        e_out, e_in = fixture_incidence()
+        every = {"adjacency": load_fixture_adjacency(),
+                 "incidence_out": e_out, "incidence_in": e_in}
+        with pytest.raises(GraphMatError, match="incidence"):
+            gm.GraphHandle(**{k: every[k] for k in views})

@@ -37,8 +37,7 @@ NAT = gm.semiring_by_name("arith-natural")
 MINPLUS = gm.semiring_by_name("min-plus")
 XOR = gm.semiring_by_name("xor-and")
 # non-commutative, so a fold in the wrong order gives a different value
-SUB = gm.BinaryOp("minus", operator.sub, commutative=False,
-                  associative=False)
+SUB = gm.BinaryOp("minus", operator.sub)
 
 
 INT64, OBJECT = np.dtype(np.int64), np.dtype(object)
@@ -263,8 +262,7 @@ class TestMxmAccumulator:
         if pull:  # every masked one-row product pulls
             monkeypatch.setattr(kernels, "_PULL_CALLS", -math.inf)
         mask = np.ones(1, dtype=bool) if pull else None
-        back = gm.BinaryOp("minus-from", lambda x, y: y - x,
-                           commutative=False, associative=False)
+        back = gm.BinaryOp("minus-from", lambda x, y: y - x)
         sr = gm.make_semiring("sets-minus-from", set_domain(64), back,
                               OP_INTERSECT, 0, 2**64 - 1)
         b = gm.build(sr, (3, 1), ([0, 1, 2], [0] * 3, [2**64 - 1] * 3))
@@ -373,8 +371,11 @@ class TestMxv:
         stored = mask.get(k, 0) if mask.ncols == 1 else mask.get(0, k)
         return (stored is not None) != complement
 
+    # plus-minus: x on mul's right in the pull, where a - v != v - a
+    SEMIRINGS = NAMED_SEMIRINGS + ["plus-minus"]
+
     @pytest.mark.parametrize("masked", MASKS)
-    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    @pytest.mark.parametrize("name", SEMIRINGS)
     def test_masked_against_dense_oracle(self, name, masked):
         sr = get_semiring(name)
         rng = random.Random(41)
@@ -394,13 +395,13 @@ class TestMxv:
                                  rel_tol=1e-12 if name == "arith-real" else 0)
 
     @pytest.mark.parametrize("masked", MASKS)
-    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    @pytest.mark.parametrize("name", SEMIRINGS)
     def test_several_chunks_against_oracle(self, name, masked, monkeypatch):
         monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 2)
         self.test_masked_against_dense_oracle(name, masked)
 
     @pytest.mark.parametrize("cap", [2, 1 << 13])
-    @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
+    @pytest.mark.parametrize("name", SEMIRINGS)
     def test_unmasked_bit_identical_to_row_wise_product(self, name, cap,
                                                          monkeypatch):
         # mxv was the row-wise mxm of A and v; the dot-product form folds
@@ -445,13 +446,19 @@ class TestMxv:
         assert got.values.tolist() == [2.0]
         assert products == [1]
 
-    @pytest.mark.parametrize("name", ["natural", "integer"])
-    def test_words_reach_the_fold(self, name, monkeypatch):
-        # np.multiply commutes bit for bit, so mxv hands `_pull` mul
-        # itself, not an operand-swapped lambda that `_wide` cannot see:
-        # below the bound the products reach ufunc.at as int64 words, with
-        # the object path's results
-        sr = TestWordPath.SEMIRINGS[name][0]
+    @pytest.mark.parametrize("name, want", [
+        ("natural", [3 * 7 + 4 * 9, 5 * 2**30, 2**20 * 7]),
+        ("integer", [3 * 7 + 4 * 9, 5 * 2**30, 2**20 * 7]),
+        ("natural max-min", [4, 5, 7])],
+        ids=["natural", "integer", "natural max-min"])
+    def test_words_reach_the_fold(self, name, want, monkeypatch):
+        # mxv hands `_pull` mul itself, with v's values on its right, so
+        # `_wide` sees np.multiply or np.minimum: below the bound the
+        # products reach ufunc.at as int64 words, with the object path's
+        # results
+        sr = (TestWordPath.SEMIRINGS[name][0] if name != "natural max-min"
+              else gm.make_semiring(name, NAT.domain, OP_MAX, OP_MIN, 0,
+                                    2**64 - 1))
         folded, real = [], kernels._accumulate
 
         def spy(sr, dtype, nslots, chunks, keep=None):
@@ -467,20 +474,17 @@ class TestMxv:
         v = gm.build(sr, (3, 1), ([0, 1, 2], [0, 0, 0], [7, 2**30, 9]))
         got = outcome(lambda: gm.mxv(sr, a, v))
         assert folded == [INT64]
-        assert got[-1] == [(int, 3 * 7 + 4 * 9), (int, 5 * 2**30),
-                           (int, 2**20 * 7)]
+        assert got[-1] == [(int, w) for w in want]
         folded.clear()
         monkeypatch.setattr(matrix, "_WORD_OPS", ())
         assert outcome(lambda: gm.mxv(sr, a, v)) == got
         assert folded == [OBJECT]
 
     def test_mul_keeps_its_operand_order(self):
-        # w(i) folds mul(a(i, k), v(k)): a user's op keeps the default
-        # commutative=True, which mxv does not read, and np.minimum
-        # returns an operand by its position on -0.0 and 0.0
-        minus = gm.BinaryOp("minus", operator.sub, np.subtract)
-        sr = gm.make_semiring("plus-minus", ARITH.domain, ARITH.add, minus,
-                              0.0, 0.0)
+        # w(i) folds mul(a(i, k), v(k)), a(i, k) on mul's left: x - y
+        # is not y - x, and np.minimum returns an operand by its position
+        # on -0.0 and 0.0
+        sr = get_semiring("plus-minus")
         a = gm.build(sr, (2, 2), ([0, 0, 1], [0, 1, 1], [5.0, 2.0, 7.0]))
         v = gm.build(sr, (2, 1), ([0, 1], [0, 0], [1.5, 4.0]))
         got = gm.mxv(sr, a, v)
@@ -746,8 +750,7 @@ class TestInt64Closed:
 
     def test_fold_leaving_the_domain_as_a_float_raises(self):
         # 7 / 2 is 3.5, which the cast to int64 would truncate to 3
-        divide = gm.BinaryOp("divide", operator.truediv, np.true_divide,
-                             commutative=False, associative=False)
+        divide = gm.BinaryOp("divide", operator.truediv, np.true_divide)
         a = self._m((1, 1), [0], [0], [7])
         b = self._m((1, 1), [0], [0], [2])
         for ewise in (gm.ewise_mult, gm.ewise_add):

@@ -86,8 +86,7 @@ class TestBuild:
                                          [5.0, 3.0, 1.0]), strict_dup=True)
 
     def test_non_commutative_dup_folds_in_input_order(self):
-        sub = gm.BinaryOp("minus", operator.sub, commutative=False,
-                          associative=False)
+        sub = gm.BinaryOp("minus", operator.sub)
         a = gm.build(ARITH, (2, 2), ([0, 1, 0, 0], [1, 0, 1, 1],
                                      [10.0, 4.0, 3.0, 2.0]), dup=sub)
         assert a.get(0, 1) == 5.0  # (10 - 3) - 2
@@ -97,8 +96,7 @@ class TestBuild:
         # y - x over 5, 3, 10 steps through 3 - 5 = -2, outside uint64,
         # and ends at 10 - (-2) = 12; a fold that ends outside raises
         sets = gm.semiring_by_name("union-intersect", universe_size=64)
-        back = gm.BinaryOp("minus-from", lambda x, y: y - x,
-                           commutative=False, associative=False)
+        back = gm.BinaryOp("minus-from", lambda x, y: y - x)
         a = gm.build(sets, (1, 1), ([0, 0, 0], [0, 0, 0], [5, 3, 10]),
                      dup=back)
         assert a.values.tolist() == [12]
