@@ -107,56 +107,34 @@ def mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 def _mxm(sr: Semiring, a: SparseMatrix, b: SparseMatrix, mask=None,
          complement=False) -> SparseMatrix:
-    """Gustavson's row-wise product (1978), one block of rows at a time;
-    `mask` and `complement` select result positions as in vxm."""
+    """Gustavson's row-wise product (1978), a block of rows at a time, each
+    by `_vxm`; `mask` and `complement` select result positions as in vxm."""
     if a.nrows == 1:  # the one row's keys are its columns
         return _csr(1, b.ncols, *_vxm(sr, a.indices, a.values, b, mask,
                                       complement), sr.domain)
-    starts = b.indptr[a.indices]
-    counts = b.indptr[1:][a.indices] - starts  # products per entry of a
-    total = int(counts.sum())
-    # a result folds at most one product per entry of a's row
-    x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero, a, a, b)
-    blocks = [(0, a.nrows, total)]  # first row, row past the end, products
-    if total > _MXM_CHUNK_PRODUCTS:
+    # products per entry of a, by b's row lengths unless b has more rows
+    counts = (np.diff(b.indptr)[a.indices] if b.nrows < len(a.indices)
+              else b.indptr[1:][a.indices] - b.indptr[a.indices])
+    bounds = [0, a.nrows]  # the blocks' first rows, then the row past
+    if counts.sum() > _MXM_CHUNK_PRODUCTS:
         # rows in blocks whose products stay below the block cap
-        row_cum = np.concatenate(([0], np.cumsum(counts)))[a.indptr]
-        blocks, r0 = [], 0
-        while r0 < a.nrows:
-            r1 = max(r0 + 1, int(np.searchsorted(
-                row_cum, row_cum[r0] + _MXM_CHUNK_PRODUCTS, side="right")) - 1)
-            blocks.append((r0, r1, int(row_cum[r1] - row_cum[r0])))
-            r0 = r1
-    parts = [_mxm_block(sr, a, b, x, y, r0, r1, products, starts, counts,
-                        mask, complement) for r0, r1, products in blocks]
+        row_cum = np.concatenate(([0], counts.cumsum()))[a.indptr]
+        bounds = [0]
+        while bounds[-1] < a.nrows:
+            bounds.append(max(bounds[-1] + 1, int(row_cum.searchsorted(
+                row_cum[bounds[-1]] + _MXM_CHUNK_PRODUCTS, "right")) - 1))
+    parts = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        lo, hi = a.indptr[r0], a.indptr[r1]
+        parts.append(_csr(r1 - r0, b.ncols, *_vxm(
+            sr, a.indices[lo:hi], a.values[lo:hi], b, mask, complement,
+            lens=np.diff(a.indptr[r0:r1 + 1]), r0=r0), sr.domain))
     if len(parts) == 1:  # the one block's matrix is the result
         return parts[0]
     indptr = np.concatenate([[0]] + [np.diff(p.indptr) for p in parts])
     return SparseMatrix(a.nrows, b.ncols, indptr.cumsum(), np.concatenate(
         [p.indices for p in parts]), np.concatenate([p.values for p in parts]),
         sr.domain)
-
-
-def _mxm_block(sr, a, b, x, y, r0, r1, products, starts, counts, mask,
-               complement):
-    """Rows r0..r1-1 of a b on values x, y: accumulated, or sorted if wide."""
-    nb, ncols, lo, hi = r1 - r0, b.ncols, a.indptr[r0], a.indptr[r1]
-    starts, counts, x = starts[lo:hi], counts[lo:hi], x[lo:hi]
-    rows = np.repeat(np.arange(nb), np.diff(a.indptr[r0:r1 + 1]))
-    if _dense(nb * ncols, products):
-        def chunks():
-            for clo, chi, pos in _chunks(starts, counts):
-                slots = b.indices[pos]  # slot (i - r0) * ncols + j
-                slots += rows[clo:chi].repeat(counts[clo:chi]) * ncols
-                yield slots, sr.mul.ufunc(x[clo:chi].repeat(counts[clo:chi]),
-                                          y[pos])
-
-        keys, vals = _accumulate(sr, x.dtype, nb * ncols, chunks(),
-                                 _keep(mask, complement, r0, r1, ncols))
-    else:
-        keys, vals = _sort_fold(sr, b, y, _ranges(starts, counts), rows, x,
-                                counts, r0, r1, mask, complement)
-    return _csr(nb, ncols, keys, vals, sr.domain)
 
 
 def _sort_fold(sr, b, y, pos, rows, x, counts, r0, r1, mask, complement):
@@ -174,21 +152,25 @@ def _sort_fold(sr, b, y, pos, rows, x, counts, r0, r1, mask, complement):
     return _fold(keys, prod[order], b.ncols, sr.add, sr.zero, sr.domain)
 
 
-def _vxm(sr, ids, x, b, mask=None, complement=False, into=None):
-    """vxm on arrays and unchecked, for traversal hops: the row storing
-    x at the ascending ids, times b, as (columns, values). Masked, it
-    pulls over b's cached transpose when that reads fewer entries. With
-    `into` a w of b.ncols slots, unmasked under add np.minimum, w<min>=
+def _vxm(sr, ids, x, b, mask=None, complement=False, into=None, lens=None,
+         r0=0):
+    """Gustavson's row-wise product on arrays and unchecked, for `_mxm`'s
+    blocks and the traversals' hops: the row storing x at the ascending
+    ids, times b, as (columns, values); with `lens`, result rows r0.. of
+    lens[i] entries each, as (`_key`s in the block, values). Masked, one
+    row pulls over b's cached transpose when that reads fewer entries.
+    With `into` a w of b.ncols slots, unmasked under add np.minimum, w<min>=
     x b in place: (the columns lowered, ascending, their values)."""
     if into is not None and (sr.add.ufunc is not np.minimum
                              or mask is not None):
         raise ValueError("only an unmasked min product folds into w")
+    nb = 1 if lens is None else len(lens)
     starts = b.indptr[ids]
-    counts = b.indptr[1:][ids] - starts  # products per entry of the row
+    counts = b.indptr[1:][ids] - starts  # products per entry of the rows
     total, ncols = int(counts.sum()), b.ncols
-    dense = _dense(ncols, total)  # if not, too few products to pull
-    keep = _keep(mask, complement, 0, 1, ncols) if dense else None
-    if keep is not None and total > ncols + _PULL_CALLS:
+    dense = _dense(nb * ncols, total)  # if not, too few products to pull
+    keep = _keep(mask, complement, r0, r0 + nb, ncols) if dense else None
+    if nb == 1 and keep is not None and total > ncols + _PULL_CALLS:
         # the kept columns' in-edges, from b^T once built; until then a
         # square b's out-degrees stand in and a rectangular b counts them
         bt = b._transposed(build=False)
@@ -197,18 +179,23 @@ def _vxm(sr, ids, x, b, mask=None, complement=False, into=None):
                  else np.count_nonzero(keep[b.indices]))
         if total > reads + ncols + _PULL_CALLS:
             return _pull(sr, ids, x, b._transposed(), keep)
-    x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero, len(ids),
-                 x, b)
+    x, y = _wide(sr.domain, sr.add.ufunc, sr.mul.ufunc, sr.zero,
+                 len(ids) if lens is None else int(lens.max()), x, b)
+    rows = None if nb == 1 else np.arange(nb).repeat(lens)  # entries' rows
     if not dense and into is None:
         return _sort_fold(sr, b, y, _ranges(starts, counts), np.zeros(
-            len(ids), dtype=np.int64), x, counts, 0, 1, mask, complement)
+            len(ids), dtype=np.int64) if rows is None else rows, x, counts,
+            r0, r0 + nb, mask, complement)
     # positions in one go when one chunk holds them all
     parts = (_chunks(starts, counts) if total > _VXM_CHUNK_PRODUCTS
              else [(0, len(ids), _ranges(starts, counts))])
-    chunks = ((b.indices[p], sr.mul.ufunc(x[lo:hi].repeat(counts[lo:hi]),
-                                          y[p])) for lo, hi, p in parts)
+    # a product's slot: its row in the block times ncols, plus its column
+    chunks = ((b.indices[p] if rows is None else b.indices[p] + ncols
+               * rows[lo:hi].repeat(counts[lo:hi]),
+               sr.mul.ufunc(x[lo:hi].repeat(counts[lo:hi]), y[p]))
+              for lo, hi, p in parts)
     if into is None:
-        return _accumulate(sr, x.dtype, ncols, chunks, keep)
+        return _accumulate(sr, x.dtype, nb * ncols, chunks, keep)
     return _lower(into, chunks, total, sr.domain)
 
 
@@ -478,10 +465,9 @@ def assign(c: SparseMatrix, i, j, a: SparseMatrix) -> SparseMatrix:
         raise DimensionError("assign source shape must match index vectors",
                              expected=f"{len(i)}x{len(j)}",
                              actual=f"{a.nrows}x{a.ncols}")
-    if len(np.unique(i)) != len(i):
-        raise GraphMatError("repeated row index in assign")
-    if len(np.unique(j)) != len(j):
-        raise GraphMatError("repeated column index in assign")
+    for idx, what in (i, "row"), (j, "column"):
+        if (np.diff(np.sort(idx)) == 0).any():
+            raise GraphMatError(f"repeated {what} index in assign")
     _check_domains(c.domain, a)
     return _assign(c, i, j, a)
 

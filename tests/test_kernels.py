@@ -1245,9 +1245,15 @@ class TestAssign:
 
     def test_repeated_indices_rejected(self, rng):
         c = random_matrix(ARITH, rng, 4, 4)
-        a = random_matrix(ARITH, rng, 2, 2)
-        with pytest.raises(GraphMatError):
-            gm.assign(c, [1, 1], [0, 2], a)
+        # a repeated row, a repeated column, and repeats that are not
+        # adjacent in an unsorted index vector
+        for i, j, what in [([1, 1], [0, 2], "row"), ([0, 2], [3, 3], "column"),
+                           ([2, 0, 2], [0, 1, 3], "row"),
+                           ([0, 1, 3], [2, 0, 2], "column")]:
+            a = random_matrix(ARITH, rng, len(i), len(j))
+            with pytest.raises(GraphMatError,
+                               match=f"^repeated {what} index in assign$"):
+                gm.assign(c, i, j, a)
 
     def test_shape_mismatch(self, rng):
         c = random_matrix(ARITH, rng, 4, 4)
@@ -1325,9 +1331,10 @@ class TestSortPathPairs:
 class TestMaskedMxmBlocks:
     """The mask of `_mxm` (which vxm passes) on results of many rows:
     C<M> = A B against the oracle, per slot on the accumulator path and
-    per (row, column) pair on the sort path, with blocks of 3 products."""
+    per (row, column) pair on the sort path, with blocks of 3 products,
+    and by the pull of every row that forms a block of its own."""
 
-    @pytest.mark.parametrize("path", ["accumulate", "sort"])
+    @pytest.mark.parametrize("path", ["accumulate", "sort", "pull"])
     @pytest.mark.parametrize("masked", TestMxv.MASKS[1:])
     @pytest.mark.parametrize("name", NAMED_SEMIRINGS)
     def test_against_dense_oracle(self, name, masked, path, monkeypatch):
@@ -1336,6 +1343,24 @@ class TestMaskedMxmBlocks:
         if path == "sort":
             monkeypatch.setattr(kernels, "_dense", lambda slots, products:
                                 False)
+        # the first rows of the blocks that pulled, each row with
+        # products a block of its own
+        block, pulled = [0], []
+        if path == "pull":
+            monkeypatch.setattr(kernels, "_MXM_CHUNK_PRODUCTS", 0)
+            monkeypatch.setattr(kernels, "_PULL_CALLS", -math.inf)
+            vxm, pull = kernels._vxm, kernels._pull
+
+            def spy_vxm(*args, r0=0, **kw):
+                block[0] = r0
+                return vxm(*args, r0=r0, **kw)
+
+            def spy_pull(*args):
+                pulled.append(block[0])
+                return pull(*args)
+
+            monkeypatch.setattr(kernels, "_vxm", spy_vxm)
+            monkeypatch.setattr(kernels, "_pull", spy_pull)
         sr = get_semiring(name)
         rng = random.Random(67)
         complement = masked.endswith("complement")
@@ -1358,6 +1383,8 @@ class TestMaskedMxmBlocks:
                         want[i, j] = d[i, j]
             assert_matches_dense(got, want, sr.zero,
                                  rel_tol=1e-12 if name == "arith-real" else 0)
+        if path == "pull":  # _keep took the mask's rows past the first
+            assert any(r0 > 0 for r0 in pulled)
 
     def test_wide_mask_rows_past_the_first(self):
         # 6 rows of 2**60 columns, rows 1.. of the mask included
