@@ -184,15 +184,15 @@ def sssp_minplus(a: SparseMatrix, source) -> list:
     """Single-source shortest paths over min-plus.
 
     Relaxation d<min>= d A, folded into d in place by `_vxm`, over the
-    pending vertices: those whose distance changed and whose out-edges
-    were not yet relaxed at it. A round relaxes them all if their
-    out-edges fit a budget, else the nearest first up to it, and the
-    rest wait (near before far, as in delta-stepping: Sridhar et al.,
-    IPDPSW'19). The nearest pending distance is final, so each round
-    settles a vertex: at most as many rounds as reachable vertices.
-    Float addition is monotone, so every order gives the same
-    distances, bit for bit. Weights must be non-negative; the implicit
-    zero is +inf.
+    pending vertices, one bitmap across rounds: those whose distance
+    changed and whose out-edges were not yet relaxed at it. A round
+    relaxes them all if their out-edges fit a budget, else the nearest
+    first up to it, and the rest wait (near before far, as in
+    delta-stepping: Sridhar et al., IPDPSW'19). The nearest pending
+    distance is final, so each round settles a vertex: at most as many
+    rounds as reachable vertices. Float addition is monotone, so every
+    order gives the same distances, bit for bit. Weights must be
+    non-negative; the implicit zero is +inf.
     """
     return _sssp(a, source).tolist()
 
@@ -214,17 +214,15 @@ def _sssp(a, source):
     degree = np.diff(a.indptr)
     # a round passes the budget only if its out-degrees can (0: never)
     top = int(degree.max()) if a.nnz > 2 * budget else 0
-    pending, waiting = np.array([source]), ()
-    while len(pending):
-        if len(pending) * top > budget and degree[pending].sum() > budget:
-            near = pending[dist[pending].argsort()]  # nearest first
+    pending = np.zeros(n, dtype=bool)  # a bitmap kept across rounds
+    pending[source] = True
+    while len(ids := pending.nonzero()[0]):
+        if len(ids) * top > budget and degree[ids].sum() > budget:
+            near = ids[dist[ids].argsort()]  # nearest first
             k = max(1, int((degree[near].cumsum() <= budget).sum()))
-            pending, waiting = np.sort(near[:k]), near[k:]
-        pending = _vxm(_MINPLUS, pending, dist[pending], a, into=dist)[0]
-        if len(waiting):  # merged as one ascending set
-            merged = np.zeros(n, dtype=bool)
-            merged[waiting] = merged[pending] = True
-            pending, waiting = merged.nonzero()[0], ()
+            ids = np.sort(near[:k])  # the rest wait in the bitmap
+        pending[ids] = False
+        pending[_vxm(_MINPLUS, ids, dist[ids], a, into=dist)] = True
     return dist
 
 

@@ -160,7 +160,7 @@ def _vxm(sr, ids, x, b, mask=None, complement=False, into=None, lens=None,
     lens[i] entries each, as (`_key`s in the block, values). Masked, one
     row pulls over b's cached transpose when that reads fewer entries.
     With `into` a w of b.ncols slots, unmasked under add np.minimum, w<min>=
-    x b in place: (the columns lowered, ascending, their values)."""
+    x b in place: the columns lowered, as `_lower` gives them."""
     if into is not None and (sr.add.ufunc is not np.minimum
                              or mask is not None):
         raise ValueError("only an unmasked min product folds into w")
@@ -196,35 +196,27 @@ def _vxm(sr, ids, x, b, mask=None, complement=False, into=None, lens=None,
               for lo, hi, p in parts)
     if into is None:
         return _accumulate(sr, x.dtype, nb * ncols, chunks, keep)
-    return _lower(into, chunks, total, sr.domain)
+    return _lower(into, chunks, total)
 
 
-def _lower(w, chunks, products, domain):
-    """w<min>= the (slots, products) chunks, in place: (the slots lowered,
-    ascending, their values). With as many products as slots, or few
-    slots, every product folds and every slot is compared after; else
-    only the products that lower their slot fold, and the slots lowered
-    are deduplicated through a bitmap or, few against len(w), by sort."""
+def _lower(w, chunks, products):
+    """w<min>= the (slots, products) chunks, in place: the slots lowered.
+    With as many products as slots, or few slots, every product folds and
+    one compare after finds them, ascending and once each; else only the
+    products below their slot fold, and slots may repeat, in any order."""
+    # no _narrow: the values are sums of weights already checked
+    # non-negative, which cannot become NaN, and no matrix stores them
     if len(w) <= max(products, _VXM_CHUNK_PRODUCTS):
         before = w.copy()
         for slots, prod in chunks:
             np.minimum.at(w, slots, prod)
-        slots = (w < before).nonzero()[0]
-        return slots, _narrow(w[slots], domain)
+        return (w < before).nonzero()[0]
     lowered = []
     for slots, prod in chunks:
         low = (prod < w[slots]).nonzero()[0]  # faster than a bool index
         np.minimum.at(w, slots[low], prod[low])
         lowered.append(slots[low])
-    slots = np.concatenate(lowered)
-    if _dense(len(w), 8 * len(slots)):  # a bitmap slot costs 1/30 of a sort
-        hit = np.zeros(len(w), dtype=bool)
-        hit[slots] = True
-        slots = hit.nonzero()[0]
-    else:  # np.unique's hash table costs about 1 ms
-        slots.sort()
-        slots = slots[np.diff(slots, prepend=-1) != 0]
-    return slots, _narrow(w[slots], domain)
+    return np.concatenate(lowered)
 
 
 def _pull(sr, ids, x, bt, keep, x_left=True):

@@ -440,13 +440,20 @@ class TestSssp:
             for u, v, w in gm.extract_tuples(a):
                 assert dist[v] <= dist[u] + w + 1e-12
 
-    @pytest.mark.parametrize("budget", ["default", "one product"])
+    @pytest.mark.parametrize("budget", ["default", "one product",
+                                        "filtered fold"])
     def test_equals_dijkstra_exactly(self, budget, monkeypatch):
         # any order of relaxations reaches the same floats: capped rounds
         # relax the nearest pending vertex first, one at a time if the
-        # budget is one product
+        # budget is one product. These graphs have at most 24 vertices,
+        # so a round folds by the whole-row compare unless the chunk cap
+        # is one product: then rounds with fewer products than vertices
+        # take the filtered fold, a product a chunk
         if budget == "one product":
             monkeypatch.setattr(graph, "_ROUND_SHARE", 2**62)
+            monkeypatch.setattr(graph, "_VXM_CHUNK_PRODUCTS", 1)
+        if budget == "filtered fold":
+            monkeypatch.setattr(kernels, "_VXM_CHUNK_PRODUCTS", 1)
             monkeypatch.setattr(graph, "_VXM_CHUNK_PRODUCTS", 1)
 
         @settings(max_examples=200, deadline=None)
@@ -471,7 +478,7 @@ class TestSssp:
     # as built, a round folds into d through the whole-row compare on
     # graphs of at most 8,192 vertices and the filtered fold above; with
     # the thresholds lowered, 48^2 and 128^2 also take the filtered fold
-    # in chunks of 64 products, deduplicated by bitmap or by sort
+    # in chunks of 64 products
     @pytest.mark.parametrize("thresholds", ["as built", "lowered"])
     @pytest.mark.parametrize("side", [8, 48, 128])
     def test_weighted_grids_equal_heap_dijkstra(self, side, thresholds,
